@@ -282,25 +282,28 @@ def cost_parity_benchmark(
 ) -> BenchReport:
     """Median-of-``repeats`` wall-clock for exactly ``iters`` iterations.
 
-    Recording is disabled and runs execute sequentially after one warmup
-    pass each, so the comparison isolates the per-iteration cost.
+    Recording is disabled. Every run gets one warmup pass, then the repeats
+    go round-robin across the runs (repeat 1 of each run, then repeat 2, and
+    so on), so a drift in host speed over the benchmark hits every run alike
+    instead of showing up as a ratio between runs.
     """
     if iters < 1:
         raise ValueError("iters must be >= 1")
     system = generate_system(problem)
-    rows = []
-    for idx, run in enumerate(runs):
-        config = SolverConfig(selector=run.selector, max_iters=iters,
-                              seed=derive_seed(seed, run.label, 0), x0=run.x0)
+    jobs = [(run.label, SolverConfig(selector=run.selector, max_iters=iters,
+                                     seed=derive_seed(seed, run.label, 0), x0=run.x0), [])
+            for run in runs]
+    for _, config, _ in jobs:
         solve(system, config, record=False)  # warmup
-        times = []
-        for _ in range(repeats):
+    for _ in range(repeats):
+        for _, config, times in jobs:
             start = time.perf_counter()
             solve(system, config, record=False)
             times.append(time.perf_counter() - start)
-        rows.append(BenchRow(label=run.label, iters=iters, seconds=tuple(times),
-                             seconds_median=float(statistics.median(times))))
-    return BenchReport(rows=tuple(rows))
+    return BenchReport(rows=tuple(
+        BenchRow(label=label, iters=iters, seconds=tuple(times),
+                 seconds_median=float(statistics.median(times)))
+        for label, _, times in jobs))
 
 
 # --------------------------------------------------------------------------

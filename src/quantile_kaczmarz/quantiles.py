@@ -8,7 +8,10 @@ rules are defined by how many rows fall in each block.
 
 Ties are broken deterministically: entries are ordered by (value, original
 index), so among equal values the lowest indices fill the lower blocks
-first.
+first. That order comes from numpy's default (fast, unstable) argsort,
+checked for strict increase: when all values are distinct the sorted
+permutation is unique, so it is already the (value, index) order. Only on a
+tie or a NaN does the partition fall back to the stable sort.
 """
 
 from __future__ import annotations
@@ -70,10 +73,15 @@ class QuantilePartition:
 def partition_two_sided(values, q1: float, q0: float | None = None, keys=None) -> QuantilePartition:
     """Partition indices by a one- or two-sided quantile band.
 
-    Entries are sorted by value with the original index as tiebreaker
-    (stable), then split by counts: |lower| = round(q0*m) (0 when q0 is
-    absent) and |lower| + |admissible| = round(q1*m). ``keys`` optionally
-    supplies the original index labels; by default they are 0..m-1.
+    Entries are sorted by value with the original index as tiebreaker,
+    then split by counts: |lower| = round(q0*m) (0 when q0 is absent) and
+    |lower| + |admissible| = round(q1*m). ``keys`` optionally supplies the
+    original index labels; by default they are 0..m-1, and the three blocks
+    are slices of one index array.
+
+    The order comes from the default argsort, which is checked for strict
+    increase; on any tie or NaN the stable argsort replaces it, so the
+    result is always exactly the (value, index) order.
 
     Raises InvalidQuantilesError when the quantile ordering constraint is
     violated or when rounding would leave the admissible block empty.
@@ -86,9 +94,7 @@ def partition_two_sided(values, q1: float, q0: float | None = None, keys=None) -
         raise InvalidQuantilesError(f"q1 must be in (0, 1], got {q1}")
     if q0 is not None and not 0.0 <= q0 < q1:
         raise InvalidQuantilesError(f"need 0 <= q0 < q1 <= 1, got q0={q0}, q1={q1}")
-    if keys is None:
-        keys = np.arange(m)
-    else:
+    if keys is not None:
         keys = np.asarray(keys)
         if keys.shape != (m,):
             raise InvalidQuantilesError("keys must have one entry per value")
@@ -100,13 +106,19 @@ def partition_two_sided(values, q1: float, q0: float | None = None, keys=None) -
             f"admissible block is empty: round(q0*m)={k0}, round(q1*m)={k1} for m={m}"
         )
 
-    order = np.argsort(v, kind="stable")
+    order = np.argsort(v)
+    ranked = v[order]
+    if not np.all(ranked[1:] > ranked[:-1]):
+        # a tie or a NaN: only a stable sort puts equal values in index order
+        order = np.argsort(v, kind="stable")
+        ranked = v[order]
+    labels = order if keys is None else keys[order]
     return QuantilePartition(
         q0=q0,
         q1=q1,
-        q0_value=float(v[order[k0 - 1]]) if k0 >= 1 else None,
-        q1_value=float(v[order[k1 - 1]]),
-        lower=keys[order[:k0]],
-        admissible=keys[order[k0:k1]],
-        upper=keys[order[k1:]],
+        q0_value=float(ranked[k0 - 1]) if k0 >= 1 else None,
+        q1_value=float(ranked[k1 - 1]),
+        lower=labels[:k0],
+        admissible=labels[k0:k1],
+        upper=labels[k1:],
     )

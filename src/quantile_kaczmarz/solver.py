@@ -397,7 +397,8 @@ def solve(
     is_motzkin = isinstance(kind, Motzkin)
     # RK does not need residuals to pick a row; compute them only when a
     # trace record or a residual-based stop rule demands it.
-    res_every_iter = (not is_rk) or (stop is not None and stop.residual_norm is not None)
+    stop_on_res_norm = stop is not None and stop.residual_norm is not None
+    res_every_iter = (not is_rk) or stop_on_res_norm
     rk_cum = np.cumsum(sq_norms) if is_rk else None
 
     records: list[TraceRecord] = []
@@ -420,14 +421,11 @@ def solve(
             will_record = record and (k % record_every == 0 or k == config.max_iters)
             r = None
             nres = None
-            res_norm = None
             if res_every_iter or will_record:
                 r = a @ x - b
                 nres = np.abs(r) * inv_norms
-                res_norm = float(np.linalg.norm(nres))
 
-            if stop is not None and stop.residual_norm is not None \
-                    and res_norm is not None and res_norm <= stop.residual_norm:
+            if stop_on_res_norm and float(np.linalg.norm(nres)) <= stop.residual_norm:
                 termination = "residual_norm"
                 break
 

@@ -19,10 +19,12 @@ from quantile_kaczmarz import (
     emit_artifacts,
     run_experiment,
     save_matrix_market,
+    solve,
     spec_from_dict,
     spec_to_dict,
     time_to_threshold,
 )
+from quantile_kaczmarz import harness
 from quantile_kaczmarz.harness import (
     problem_for_trial,
     summary_dict,
@@ -246,6 +248,24 @@ class TestBench:
         with open(tmp_path / "b.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert [r["label"] for r in rows] == ["rk", "qrk"]
+
+    def test_repeats_interleave_across_runs_after_warmups(self, monkeypatch):
+        # a host that slows down halfway must slow every run alike
+        calls = []
+
+        def spy(system, config, record=True):
+            calls.append(config.selector.name)
+            return solve(system, config, record=record)
+
+        monkeypatch.setattr(harness, "solve", spy)
+        problem = ProblemSpec(source=GeneratedSource("uniform", 60, 6, seed=16),
+                              normalize=True, solution_seed=17)
+        runs = [RunSpec(label="qrk", selector=QRK(0.8), max_iters=1),
+                RunSpec(label="dqrk", selector=DQRK(0.6, 0.8), max_iters=1)]
+        report = cost_parity_benchmark(problem, runs, iters=5, repeats=3, seed=3)
+        assert calls == ["qrk", "dqrk"] * 4
+        assert [row.label for row in report.rows] == ["qrk", "dqrk"]
+        assert all(len(row.seconds) == 3 for row in report.rows)
 
     def test_wall_clock_roughly_linear_in_iterations(self):
         problem = ProblemSpec(source=GeneratedSource("uniform", 800, 80, seed=14),

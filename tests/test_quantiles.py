@@ -1,6 +1,8 @@
+import struct
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quantile_kaczmarz import (
@@ -9,7 +11,83 @@ from quantile_kaczmarz import (
     multiset_quantile,
     partition_two_sided,
 )
-from quantile_kaczmarz.quantiles import quantile_rank, round_half_up
+from quantile_kaczmarz.quantiles import (
+    QuantilePartition,
+    quantile_rank,
+    round_half_up,
+)
+
+
+def stable_sort_partition(values, q1, q0=None, keys=None) -> QuantilePartition:
+    """Reference partition: one stable argsort, blocks cut by rank.
+
+    The package partition must match it element for element; it sorts
+    with a faster unstable argsort and falls back on ties and NaNs.
+    """
+    v = np.asarray(values, dtype=np.float64).ravel()
+    m = v.size
+    if m == 0:
+        raise EmptyInputError("partition_two_sided needs at least one value")
+    if not 0.0 < q1 <= 1.0:
+        raise InvalidQuantilesError(f"q1 must be in (0, 1], got {q1}")
+    if q0 is not None and not 0.0 <= q0 < q1:
+        raise InvalidQuantilesError(f"need 0 <= q0 < q1 <= 1, got q0={q0}, q1={q1}")
+    if keys is None:
+        keys = np.arange(m)
+    else:
+        keys = np.asarray(keys)
+        if keys.shape != (m,):
+            raise InvalidQuantilesError("keys must have one entry per value")
+    k1 = quantile_rank(q1, m)
+    k0 = 0 if q0 is None else min(round_half_up(q0 * m), m)
+    if k0 >= k1:
+        raise InvalidQuantilesError("admissible block is empty")
+    order = np.argsort(v, kind="stable")
+    return QuantilePartition(
+        q0=q0,
+        q1=q1,
+        q0_value=float(v[order[k0 - 1]]) if k0 >= 1 else None,
+        q1_value=float(v[order[k1 - 1]]),
+        lower=keys[order[:k0]],
+        admissible=keys[order[k0:k1]],
+        upper=keys[order[k1:]],
+    )
+
+
+def same_float_bits(a, b) -> bool:
+    """Equal as IEEE bit patterns (NaN equals NaN, -0.0 differs from 0.0)."""
+    if a is None or b is None:
+        return a is None and b is None
+    return struct.pack("<d", a) == struct.pack("<d", b)
+
+
+# a small alphabet makes ties common and includes both signed zeros, the
+# infinities and NaN; the unique floats give tie-free vectors for the fast path
+TIE_ALPHABET = [0.0, -0.0, 0.5, 1.0, 2.0, float("inf"), float("-inf"), float("nan")]
+
+
+@st.composite
+def partition_cases(draw):
+    values = draw(st.one_of(
+        st.lists(st.sampled_from(TIE_ALPHABET), min_size=1, max_size=40),
+        st.lists(st.floats(allow_nan=False), min_size=1, max_size=40, unique=True),
+        st.lists(st.sampled_from(TIE_ALPHABET) | st.floats(), min_size=1, max_size=40),
+    ))
+    m = len(values)
+    q1 = draw(st.floats(0.0, 1.0, exclude_min=True))
+    q0 = draw(st.none() | st.floats(0.0, 1.0))
+    keys = draw(st.none() | st.lists(st.integers(-5, 5), min_size=m, max_size=m))
+    return values, q1, q0, keys
+
+
+def assert_same_partition(got: QuantilePartition, want: QuantilePartition) -> None:
+    for block in ("lower", "admissible", "upper"):
+        have, expected = getattr(got, block), getattr(want, block)
+        assert have.dtype == expected.dtype, block
+        assert have.tolist() == expected.tolist(), block
+    assert same_float_bits(got.q0_value, want.q0_value)
+    assert same_float_bits(got.q1_value, want.q1_value)
+    assert (got.q0, got.q1) == (want.q0, want.q1)
 
 
 class TestRounding:
@@ -132,3 +210,32 @@ class TestPartition:
         # index i in the permuted input holds values[perm[i]]
         assert sorted(perm[permuted.admissible].tolist()) == sorted(base.admissible.tolist())
         assert sorted(perm[permuted.lower].tolist()) == sorted(base.lower.tolist())
+
+
+class TestPartitionMatchesStableSortOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(partition_cases())
+    @example(([0.3, 0.1, 0.2, 0.4, 0.5], 0.8, 0.2, [5, 4, 3, 2, 1]))  # distinct: fast path
+    @example(([1.0, 0.5, 1.0, 0.5, 0.5], 0.8, 0.2, None))  # ties: fallback
+    @example(([0.2, float("nan"), 0.1, -0.0, 0.0], 0.8, 0.2, None))  # NaN, signed zeros
+    def test_blocks_and_thresholds_identical(self, case):
+        values, q1, q0, keys = case
+        try:
+            want = stable_sort_partition(values, q1=q1, q0=q0, keys=keys)
+        except InvalidQuantilesError:
+            with pytest.raises(InvalidQuantilesError):
+                partition_two_sided(values, q1=q1, q0=q0, keys=keys)
+            return
+        assert_same_partition(partition_two_sided(values, q1=q1, q0=q0, keys=keys), want)
+
+    def test_large_tie_free_vector(self):
+        values = np.random.default_rng(14).normal(size=2500)
+        for q0, q1 in [(None, 0.8), (0.6, 0.8), (None, 0.7)]:
+            assert_same_partition(partition_two_sided(values, q1=q1, q0=q0),
+                                  stable_sort_partition(values, q1=q1, q0=q0))
+
+    def test_large_vector_with_ties(self):
+        # quantized residuals: long runs of equal values across the cut points
+        values = np.round(np.random.default_rng(15).uniform(size=2500), 2)
+        assert_same_partition(partition_two_sided(values, q1=0.8, q0=0.6),
+                              stable_sort_partition(values, q1=0.8, q0=0.6))
