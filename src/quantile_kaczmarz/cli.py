@@ -172,7 +172,7 @@ def _cmd_experiment(args) -> int:
           f"wrote {paths['trajectory']} and {paths['summary']}")
     for (label, trial), message in sorted(result.failures.items()):
         print(f"{label} trial {trial}: FAILED {message}", file=sys.stderr)
-    return 0
+    return 0 if not result.failures else RUNTIME_ERROR
 
 
 def _cmd_diagnose(args) -> int:

@@ -112,26 +112,44 @@ def load_matrix_market(path) -> np.ndarray:
             raise MatrixMarketParseError(lineno, f"expected {nnz} entries, found {seen}")
     else:
         # array format: column-major; symmetric stores the lower triangle only
+        values = _array_values(lines, start)
+        expected = n * (n + 1) // 2 if sym == "symmetric" else m * n
+        if values.size != expected:
+            raise MatrixMarketParseError(len(lines), f"expected {expected} values, found {values.size}")
         if sym == "symmetric":
-            coords = [(i, j) for j in range(n) for i in range(j, m)]
+            j, i = np.triu_indices(n)  # (i, j) pairs with i >= j, in column-major order
+            out[i, j] = values
+            out[j, i] = values
         else:
-            coords = [(i, j) for j in range(n) for i in range(m)]
-        values = []
-        for lineno, raw in enumerate(lines[start - 1:], start=start):
-            stripped = raw.strip()
-            if not stripped or stripped.startswith("%"):
-                continue
-            try:
-                values.append(float(stripped.split()[0]))
-            except ValueError:
-                raise MatrixMarketParseError(lineno, f"bad value {stripped!r}") from None
-        if len(values) != len(coords):
-            raise MatrixMarketParseError(lineno, f"expected {len(coords)} values, found {len(values)}")
-        for (i, j), v in zip(coords, values):
-            out[i, j] = v
-            if sym == "symmetric":
-                out[j, i] = v
+            out[:] = values.reshape(n, m).T
     return out
+
+
+def _array_values(lines: list[str], start: int) -> np.ndarray:
+    """First token of every value line from line ``start`` (1-based) on, as floats.
+
+    Blank and ``%`` lines are skipped. All lines are converted in one numpy
+    call (numpy converts each string as ``float`` does); when that fails, on
+    a bad value or a line with more than one token, the lines are scanned
+    one by one, which reads the first token only and reports the line of a
+    bad value.
+    """
+    body = lines[start - 1:]
+    try:
+        return np.array([raw for raw in body if raw.strip()[:1] not in ("", "%")],
+                        dtype=np.float64)
+    except ValueError:
+        pass
+    values = []
+    for lineno, raw in enumerate(body, start=start):
+        stripped = raw.strip()
+        if not stripped or stripped.startswith("%"):
+            continue
+        try:
+            values.append(float(stripped.split()[0]))
+        except ValueError:
+            raise MatrixMarketParseError(lineno, f"bad value {stripped!r}") from None
+    return np.array(values, dtype=np.float64)
 
 
 def save_matrix_market(path, a: np.ndarray, fmt: str = "array", comment: str | None = None) -> None:

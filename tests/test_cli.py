@@ -80,6 +80,31 @@ class TestExperiment:
         summary = json.load(open(tmp_path / "out" / "summary.json"))
         assert {r["label"] for r in summary["runs"]} == {"rk", "band"}
 
+    def test_failed_run_exits_2_after_writing_artifacts(self, tmp_path, capsys):
+        spec = {
+            "seed": 9,
+            "trials": 1,
+            "problem": {
+                "source": {"kind": "generated", "dist": "gaussian", "m": 40, "n": 5},
+                "normalize": True,
+            },
+            "runs": [
+                {"label": "rk", "method": "rk", "iters": 30},
+                {"label": "bad", "method": "rk", "iters": 30, "x0": "hyperplane:999"},
+            ],
+        }
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        code = run_cli("experiment", str(spec_path), "--out", str(tmp_path / "out"))
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "1 runs completed, 1 failed" in captured.out
+        assert "bad trial 0: FAILED" in captured.err
+        summary = json.load(open(tmp_path / "out" / "summary.json"))
+        assert [r["label"] for r in summary["runs"]] == ["rk"]
+        assert [f["label"] for f in summary["failures"]] == ["bad"]
+        assert (tmp_path / "out" / "trajectory.csv").exists()
+
     def test_missing_spec_file_exits_2(self, tmp_path):
         assert run_cli("experiment", str(tmp_path / "nope.json")) == 2
 

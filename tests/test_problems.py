@@ -209,6 +209,14 @@ class TestMatrixMarket:
         ("%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n", 3),
         ("%%MatrixMarket matrix coordinate real general\n1 1 1\n1 1 oops\n", 3),
         ("%%MatrixMarket matrix array pattern general\n1 1\n", 1),
+        # array format: a bad value after comment and blank lines reports its own line
+        ("%%MatrixMarket matrix array real general\n% c\n2 1\n% c\n\n1.0\n% c\noops\n", 8),
+        ("%%MatrixMarket matrix array real general\n2 1\n1.0 also read\nnan?\n", 4),
+        # array format: a wrong value count reports the last line of the file
+        ("%%MatrixMarket matrix array real general\n2 2\n1.0\n2.0\n3.0\n% c\n", 6),
+        ("%%MatrixMarket matrix array real general\n1 2\n1.0\n2.0\n3.0\n", 5),
+        ("%%MatrixMarket matrix array real symmetric\n2 2\n1.0\n2.0\n3.0\n4.0\n\n", 7),
+        ("%%MatrixMarket matrix array real general\n2 2\n", 2),
     ])
     def test_parse_errors_carry_line_numbers(self, tmp_path, content, line):
         path = tmp_path / "bad.mtx"
@@ -216,6 +224,32 @@ class TestMatrixMarket:
         with pytest.raises(MatrixMarketParseError) as err:
             load_matrix_market(path)
         assert err.value.line == line
+
+    def test_array_reads_first_token_and_skips_comments(self, tmp_path):
+        path = tmp_path / "tok.mtx"
+        path.write_text(
+            "%%MatrixMarket matrix array real general\n"
+            "2 2\n"
+            "1.0 ignored\n"
+            "% a comment\n"
+            "\n"
+            "  2.0\t\n"
+            "   % an indented comment\n"
+            "3.0 4.5 9\n"
+            "4.0\n"
+        )
+        assert load_matrix_market(path).tolist() == [[1.0, 3.0], [2.0, 4.0]]
+
+    def test_symmetric_array_fills_columns_of_the_lower_triangle(self, tmp_path):
+        path = tmp_path / "syma3.mtx"
+        path.write_text(
+            "%%MatrixMarket matrix array real symmetric\n"
+            "3 3\n"
+            "1\n2\n3\n4\n5\n6\n"
+        )
+        assert load_matrix_market(path).tolist() == [[1.0, 2.0, 3.0],
+                                                      [2.0, 4.0, 5.0],
+                                                      [3.0, 5.0, 6.0]]
 
     def test_duplicate_coordinate_entries_sum(self, tmp_path):
         path = tmp_path / "dup.mtx"

@@ -1,7 +1,12 @@
+import math
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quantile_kaczmarz import (
     BudgetExceededError,
@@ -22,6 +27,57 @@ def brute_force_subset_min(a, s):
         sigma = np.linalg.svd(a[list(subset)], compute_uv=False)[-1]
         best = min(best, sigma)
     return float(best)
+
+
+def per_row_eigh_leave_one_out(a):
+    """Oracle: one eigensolve of the downdated Gram matrix per deleted row."""
+    m, n = a.shape
+    if m - 1 < n:
+        return 0.0
+    gram = a.T @ a
+    best = math.inf
+    for i in range(m):
+        gi = gram - np.outer(a[i], a[i])
+        low = scipy.linalg.eigh(gi, eigvals_only=True, subset_by_index=(0, 0))[0]
+        best = min(best, float(low))
+    return math.sqrt(max(best, 0.0))
+
+
+def assert_matches_oracle(a):
+    """sigma_loo against the oracle: 1e-9 relative where the oracle value is at
+    least 1e-6 sigma_max, else 1e-6 sigma_max absolute.
+
+    Both sides read eigenvalues of Gram matrices, each off by up to about
+    n eps sigma_max^2 (Weyl's bound for a backward-stable eigensolver), so
+    their square roots differ by up to n eps sigma_max^2 / sigma on top of
+    the relative tolerance; that term passes 1e-9 relative below about
+    1e-3 sigma_max.
+    """
+    expected = per_row_eigh_leave_one_out(a)
+    got = leave_one_out_sigma_min(a)
+    sigma_max = float(np.linalg.norm(a, 2))
+    if expected >= 1e-6 * sigma_max:
+        gram_error = a.shape[1] * np.finfo(float).eps * sigma_max ** 2 / expected
+        assert abs(got - expected) <= 1e-9 * expected + gram_error, (got, expected)
+    else:
+        assert abs(got - expected) <= 1e-6 * sigma_max, (got, expected)
+    return got, expected
+
+
+def sparse_pm1(m, n, lonely, rng):
+    """m x n with two +-1 entries per row; each of the first ``lonely`` columns
+    appears in exactly one row, every other column in at least one."""
+    shared = np.arange(lonely, n)
+    deal = rng.permutation(shared)
+    if deal.size % 2:
+        deal = np.append(deal, rng.choice(deal[:-1]))
+    pairs = [deal[k:k + 2] for k in range(0, deal.size, 2)]
+    pairs += [rng.choice(shared, size=2, replace=False) for _ in range(m - lonely - len(pairs))]
+    pairs += [[k, rng.choice(shared)] for k in range(lonely)]
+    a = np.zeros((m, n))
+    for i, cols in zip(rng.permutation(m).tolist(), pairs):
+        a[i, cols] = rng.choice([-1.0, 1.0], size=2)
+    return a
 
 
 class TestSubsetSigmaMin:
@@ -86,6 +142,75 @@ class TestLeaveOneOut:
     def test_requires_two_rows(self):
         with pytest.raises(ValueError):
             leave_one_out_sigma_min(np.ones((1, 1)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 100), extra=st.integers(1, 20),
+           kind=st.sampled_from(["gaussian", "scaled", "duplicated"]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_per_row_oracle(self, n, extra, kind, seed):
+        rng = np.random.default_rng(seed)
+        m = n + extra
+        a = rng.normal(size=(m, n))
+        if kind == "scaled":
+            a *= np.exp(rng.normal(scale=2.0, size=(m, 1)))
+        elif kind == "duplicated":
+            a[rng.integers(m, size=m // 3)] = a[rng.integers(m, size=m // 3)]
+        assert_matches_oracle(a)
+
+    @pytest.mark.parametrize("m,n", [(7, 6), (31, 30), (101, 100), (120, 100), (40, 3)])
+    def test_gaussian_shapes_match_oracle(self, m, n):
+        assert_matches_oracle(np.random.default_rng(m * n).normal(size=(m, n)))
+
+    def test_repeated_eigenvalues_match_oracle(self):
+        # the stacked identity has a single eigenvalue of multiplicity n
+        got, _ = assert_matches_oracle(np.vstack([np.eye(5)] * 3))
+        assert got == pytest.approx(math.sqrt(2.0), rel=1e-12)
+
+    def test_duplicated_rows_match_oracle(self):
+        a = np.random.default_rng(41).normal(size=(30, 8))
+        assert_matches_oracle(np.vstack([a, a[:10]]))
+
+    def test_zero_column_is_zero(self):
+        a = np.random.default_rng(42).normal(size=(20, 5))
+        a[:, 2] = 0.0
+        got, expected = assert_matches_oracle(a)
+        assert got == expected
+
+    def test_rank_deficient_matches_oracle(self):
+        rng = np.random.default_rng(43)
+        a = rng.normal(size=(40, 3)) @ rng.normal(size=(3, 6))
+        got, expected = assert_matches_oracle(a)
+        assert got == expected
+
+    def test_one_more_row_than_columns(self):
+        rng = np.random.default_rng(44)
+        for n in (1, 2, 10, 50):
+            assert_matches_oracle(rng.normal(size=(n + 1, n)))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_lonely_column_rows_give_exact_zero(self, seed):
+        # deleting the only row that touches a column leaves a zero column
+        a = sparse_pm1(60, 20, 3, np.random.default_rng(seed))
+        a /= np.linalg.norm(a, axis=1)[:, None]
+        assert leave_one_out_sigma_min(a) == 0.0
+        assert per_row_eigh_leave_one_out(a) == 0.0
+
+    def test_lonely_column_at_benchmark_shape(self):
+        a = sparse_pm1(608, 188, 4, np.random.default_rng(45))
+        a /= np.linalg.norm(a, axis=1)[:, None]
+        assert leave_one_out_sigma_min(a) == 0.0
+
+    def test_memory_is_linear_in_the_matrix_size(self):
+        m, n = 958, 292
+        a = np.random.default_rng(46).normal(size=(m, n))
+        tracemalloc.start()
+        try:
+            leave_one_out_sigma_min(a)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the per-row eigensolves needed O(n^2); an (m, n, n) stack would be 650 MB
+        assert peak < 6 * m * n * 8
 
 
 class TestSampled:
