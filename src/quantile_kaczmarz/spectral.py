@@ -142,7 +142,8 @@ def _smallest_secular_roots(lam: np.ndarray, w: np.ndarray, solve: np.ndarray) -
     (Bunch, Nielsen and Sorensen's one-pole model). The iterate is kept as
     delta = lam[0] - t, which shrinks to 0 for a row whose root is lam[0].
     A row stops when delta moves by at most 2 eps lam[0], or when rounding
-    would move it back. Rows outside ``solve`` read lam[0].
+    would move it back. Rows outside ``solve`` read lam[0], which bounds
+    every root from above.
     """
     eps = np.finfo(np.float64).eps
     gaps = lam - lam[0]
@@ -158,7 +159,7 @@ def _smallest_secular_roots(lam: np.ndarray, w: np.ndarray, solve: np.ndarray) -
         psi = terms.sum(axis=1)
         terms /= d
         slope = terms.sum(axis=1) * d_live  # delta * psi'(t)
-        del d, terms
+        del d, terms  # freed before w_live is compacted, to keep the peak at four (k, n) arrays
         with np.errstate(divide="ignore", invalid="ignore"):
             new = d_live * slope / (slope + 1.0 - psi)
         valid = (new >= 0.0) & (new <= d_live)
