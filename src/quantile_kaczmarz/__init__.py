@@ -49,14 +49,7 @@ from .harness import (
     spec_to_dict,
     time_to_threshold,
 )
-from .linalg import (
-    RowView,
-    extreme_singular_values,
-    normalize_rows,
-    normalized_residuals,
-    project_onto_row,
-    row_norms,
-)
+from .linalg import extreme_singular_values, normalize_rows, row_norms
 from .matrixmarket import load_matrix_market, save_matrix_market
 from .problems import (
     CorruptionSpec,
@@ -65,9 +58,8 @@ from .problems import (
     ProblemSpec,
     corrupt,
     generate_system,
-    initial_iterate_on_hyperplane,
 )
-from .quantiles import QuantilePartition, multiset_quantile, partition_two_sided
+from .quantiles import QuantilePartition, partition_two_sided
 from .solver import (
     DQRK,
     DenseSystem,
@@ -86,7 +78,6 @@ from .solver import (
     parse_selector,
     select_row,
     solve,
-    step,
     weighted_sample,
 )
 from .spectral import (

@@ -8,8 +8,6 @@ never mutated in place.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import ConvergenceFailureError, DimensionMismatchError, ZeroRowError
@@ -46,31 +44,6 @@ def as_vector(v, length: int | None = None) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class RowView:
-    """One matrix row together with its cached Euclidean norm."""
-
-    index: int
-    values: np.ndarray
-    norm: float = field(default=-1.0)
-
-    def __post_init__(self):
-        values = as_vector(self.values)
-        object.__setattr__(self, "values", values)
-        true_norm = float(np.linalg.norm(values))
-        if self.norm < 0:
-            object.__setattr__(self, "norm", true_norm)
-        elif abs(self.norm - true_norm) > 1e-12 * max(true_norm, 1.0):
-            raise ValueError(
-                f"cached norm {self.norm} disagrees with recomputed norm {true_norm}"
-            )
-
-    @classmethod
-    def from_matrix(cls, a: np.ndarray, index: int) -> "RowView":
-        a = as_matrix(a)
-        return cls(index=int(index), values=a[index].copy())
-
-
 def row_norms(a: np.ndarray) -> tuple[np.ndarray, float]:
     """Euclidean norm of every row, plus the squared Frobenius norm.
 
@@ -98,53 +71,12 @@ def normalize_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a / norms[:, None], norms
 
 
-def normalized_residuals(
-    a: np.ndarray,
-    b: np.ndarray,
-    x: np.ndarray,
-    norms: np.ndarray | None = None,
-) -> np.ndarray:
-    """Per-row distances |<x, a_j> - b_j| / ||a_j|| from x to each hyperplane.
-
-    ``norms`` may be passed to reuse precomputed row norms. Raises
-    DimensionMismatchError for incompatible shapes and ZeroRowError if a row
-    norm is below ZERO_ROW_TOL.
-    """
-    a = as_matrix(a)
-    m, n = a.shape
-    b = as_vector(b, m)
-    x = as_vector(x, n)
-    if norms is None:
-        norms, _ = row_norms(a)
-    bad = np.nonzero(norms < ZERO_ROW_TOL)[0]
-    if bad.size:
-        raise ZeroRowError(index=int(bad[0]), norm=float(norms[bad[0]]))
-    return np.abs(a @ x - b) / norms
-
-
-def project_onto_row(x: np.ndarray, row: RowView, b_i: float) -> np.ndarray:
-    """Orthogonal projection of x onto the hyperplane <a_i, y> = b_i.
-
-    Returns x + ((b_i - <x, a_i>) / ||a_i||^2) a_i; the displacement is
-    parallel to a_i.
-    """
-    if row.norm < ZERO_ROW_TOL:
-        raise ZeroRowError(index=row.index, norm=row.norm)
-    x = as_vector(x, row.values.shape[0])
-    coeff = (float(b_i) - float(x @ row.values)) / (row.norm * row.norm)
-    return x + coeff * row.values
-
-
-def extreme_singular_values(a: np.ndarray, tol: float = 1e-10) -> tuple[float, float]:
+def extreme_singular_values(a: np.ndarray) -> tuple[float, float]:
     """Smallest and largest singular values of a dense matrix.
 
     Computed with LAPACK's divide-and-conquer SVD, falling back to the more
     robust one-sided Jacobi-free 'gesvd' driver if that fails to converge.
-    Both meet any requested tolerance down to machine-level relative error;
-    ``tol`` is validated for the contract but does not select the method.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     a = as_matrix(a)
     try:
         s = np.linalg.svd(a, compute_uv=False)

@@ -15,8 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ZeroRowError
-from .linalg import ZERO_ROW_TOL, as_matrix, as_vector, normalize_rows, row_norms
+from .linalg import as_vector, normalize_rows
 from .matrixmarket import load_matrix_market, save_matrix_market  # re-exported
 from .quantiles import round_half_up
 from .solver import DenseSystem, GroundTruth
@@ -28,7 +27,6 @@ __all__ = [
     "ProblemSpec",
     "corrupt",
     "generate_system",
-    "initial_iterate_on_hyperplane",
     "load_matrix_market",
     "save_matrix_market",
 ]
@@ -139,15 +137,3 @@ def generate_system(spec: ProblemSpec) -> DenseSystem:
         ),
     )
 
-
-def initial_iterate_on_hyperplane(a: np.ndarray, b: np.ndarray, i: int) -> np.ndarray:
-    """The point (b_i / ||a_i||^2) a_i, which satisfies the i-th equation.
-
-    Reduces to b_i * a_i for unit-norm rows.
-    """
-    a = as_matrix(a)
-    b = as_vector(b, a.shape[0])
-    norms, _ = row_norms(a)
-    if norms[i] < ZERO_ROW_TOL:
-        raise ZeroRowError(index=i, norm=float(norms[i]))
-    return (b[i] / (norms[i] * norms[i])) * a[i]

@@ -34,50 +34,32 @@ def quantile_rank(q: float, size: int) -> int:
     return min(max(round_half_up(q * size), 1), size)
 
 
-def multiset_quantile(values, q: float) -> float:
-    """The q-th quantile of a multiset, as an order statistic.
-
-    Raises EmptyInputError for an empty input and InvalidQuantilesError
-    unless 0 < q <= 1.
-    """
-    v = np.asarray(values, dtype=np.float64)
-    if v.ndim != 1:
-        v = v.ravel()
-    if v.size == 0:
-        raise EmptyInputError("multiset_quantile needs at least one value")
-    if not 0.0 < q <= 1.0:
-        raise InvalidQuantilesError(f"q must be in (0, 1], got {q}")
-    k = quantile_rank(q, v.size)
-    return float(np.partition(v, k - 1)[k - 1])
-
-
 @dataclass(frozen=True)
 class QuantilePartition:
     """A disjoint split of indices into lower / admissible / upper blocks.
 
-    ``lower`` holds the first round(q0*m) indices in (value, index) order,
-    ``admissible`` the next round(q1*m) - round(q0*m), ``upper`` the rest.
-    ``q0_value``/``q1_value`` are the boundary order statistics (q0_value is
-    None when the lower block is empty).
+    In (value, index) order, the lower block is the first round(q0*m)
+    indices, ``admissible`` the next round(q1*m) - round(q0*m), ``upper``
+    the rest; the lower block is the complement of the other two and is not
+    stored. ``q0_value``/``q1_value`` are the boundary order statistics
+    (q0_value is None when the lower block is empty).
     """
 
     q0: float | None
     q1: float
     q0_value: float | None
     q1_value: float
-    lower: np.ndarray
     admissible: np.ndarray
     upper: np.ndarray
 
 
-def partition_two_sided(values, q1: float, q0: float | None = None, keys=None) -> QuantilePartition:
+def partition_two_sided(values, q1: float, q0: float | None = None) -> QuantilePartition:
     """Partition indices by a one- or two-sided quantile band.
 
     Entries are sorted by value with the original index as tiebreaker,
     then split by counts: |lower| = round(q0*m) (0 when q0 is absent) and
-    |lower| + |admissible| = round(q1*m). ``keys`` optionally supplies the
-    original index labels; by default they are 0..m-1, and the three blocks
-    are slices of one index array.
+    |lower| + |admissible| = round(q1*m). The blocks are slices of one
+    index array.
 
     The order comes from the default argsort, which is checked for strict
     increase; on any tie or NaN the stable argsort replaces it, so the
@@ -94,10 +76,6 @@ def partition_two_sided(values, q1: float, q0: float | None = None, keys=None) -
         raise InvalidQuantilesError(f"q1 must be in (0, 1], got {q1}")
     if q0 is not None and not 0.0 <= q0 < q1:
         raise InvalidQuantilesError(f"need 0 <= q0 < q1 <= 1, got q0={q0}, q1={q1}")
-    if keys is not None:
-        keys = np.asarray(keys)
-        if keys.shape != (m,):
-            raise InvalidQuantilesError("keys must have one entry per value")
 
     k1 = quantile_rank(q1, m)
     k0 = 0 if q0 is None else min(round_half_up(q0 * m), m)
@@ -112,13 +90,11 @@ def partition_two_sided(values, q1: float, q0: float | None = None, keys=None) -
         # a tie or a NaN: only a stable sort puts equal values in index order
         order = np.argsort(v, kind="stable")
         ranked = v[order]
-    labels = order if keys is None else keys[order]
     return QuantilePartition(
         q0=q0,
         q1=q1,
         q0_value=float(ranked[k0 - 1]) if k0 >= 1 else None,
         q1_value=float(ranked[k1 - 1]),
-        lower=labels[:k0],
-        admissible=labels[k0:k1],
-        upper=labels[k1:],
+        admissible=order[k0:k1],
+        upper=order[k1:],
     )

@@ -130,41 +130,43 @@ def parse_selector(method: str, q: float | None = None,
 # sampling and selection
 
 
-def weighted_sample(weights, rng: np.random.Generator) -> int:
+def weighted_sample(cum_weights: np.ndarray, rng: np.random.Generator) -> int:
     """Draw an index with probability proportional to its weight.
 
-    Consumes exactly one uniform variate. Raises AllZeroWeightsError when no
-    weight is positive.
+    Takes the running totals ``np.cumsum(weights)`` of nonnegative weights,
+    so that a caller drawing many times from the same weights sums them
+    once. Consumes exactly one uniform variate. Raises AllZeroWeightsError
+    when no weight is positive.
     """
-    w = np.asarray(weights, dtype=np.float64)
-    cum = np.cumsum(w)
-    total = cum[-1]
+    total = cum_weights[-1]
     if not total > 0.0:
         raise AllZeroWeightsError("all sampling weights are zero")
-    i = int(np.searchsorted(cum, rng.random() * total, side="right"))
-    if i >= w.size:  # can only happen on a floating-point boundary hit
-        i = w.size - 1
-    while w[i] == 0.0 and i > 0:
+    i = int(np.searchsorted(cum_weights, rng.random() * total, side="right"))
+    # past the end, or onto a zero weight, only on a floating-point boundary hit
+    i = min(i, len(cum_weights) - 1)
+    while i > 0 and cum_weights[i] == cum_weights[i - 1]:
         i -= 1
     return i
 
 
 def select_row(
     kind: SelectorKind,
-    residuals: np.ndarray,
+    residuals: np.ndarray | None,
     row_sq_norms: np.ndarray,
+    cum_row_sq_norms: np.ndarray,
     rng: np.random.Generator,
 ) -> tuple[int, float | None, float | None]:
     """Pick a row index under the given strategy.
 
-    ``residuals`` are the normalized residuals of the current iterate.
+    ``residuals`` are the normalized residuals of the current iterate (RK
+    does not read them, so it accepts None). ``cum_row_sq_norms`` is
+    ``np.cumsum(row_sq_norms)``, computed once per solve for RK's draw.
     Returns (index, low_threshold, high_threshold) where the thresholds are
     the quantile values bounding the admissible set (None when unbounded on
     that side).
     """
-    residuals = np.asarray(residuals, dtype=np.float64)
     if isinstance(kind, RK):
-        return weighted_sample(row_sq_norms, rng), None, None
+        return weighted_sample(cum_row_sq_norms, rng), None, None
     if isinstance(kind, Motzkin):
         return int(np.argmax(residuals)), None, None
     if isinstance(kind, QRK):
@@ -182,7 +184,7 @@ def select_row(
         admissible, low, high = part.admissible, part.q0_value, part.q1_value
     else:
         raise TypeError(f"unknown selector {kind!r}")
-    pick = weighted_sample(row_sq_norms[admissible], rng)
+    pick = weighted_sample(np.cumsum(row_sq_norms[admissible]), rng)
     return int(admissible[pick]), low, high
 
 
@@ -315,36 +317,6 @@ class SolveTrace:
     seed: int
 
 
-def step(
-    system: DenseSystem,
-    x: np.ndarray,
-    kind: SelectorKind,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, TraceRecord]:
-    """One projection step from x. Stateless; recomputes row norms.
-
-    ``solve`` is the optimized loop; use this for single steps and tests.
-    """
-    a, b = system.A, system.b
-    x = as_vector(x, a.shape[1])
-    norms, _ = row_norms(a)
-    bad = np.nonzero(norms < ZERO_ROW_TOL)[0]
-    if bad.size:
-        raise ZeroRowError(index=int(bad[0]), norm=float(norms[bad[0]]))
-    nres = np.abs(a @ x - b) / norms
-    i, low, high = select_row(kind, nres, norms * norms, rng)
-    x_next = x + ((b[i] - a[i] @ x) / (norms[i] * norms[i])) * a[i]
-    record = TraceRecord(
-        iteration=-1,
-        row=i,
-        q0_value=low,
-        q1_value=high,
-        sq_error=system.sq_error(x_next) if system.ground_truth is not None else None,
-        residual_norm=float(np.linalg.norm(nres)),
-    )
-    return x_next, record
-
-
 def solve(
     system: DenseSystem,
     config: SolverConfig,
@@ -373,6 +345,7 @@ def solve(
         raise ZeroRowError(index=int(bad[0]), norm=float(norms[bad[0]]))
     inv_norms = 1.0 / norms
     sq_norms = norms * norms
+    cum_sq_norms = np.cumsum(sq_norms)
 
     kind = config.selector
     if isinstance(kind, RQRK):
@@ -393,13 +366,10 @@ def solve(
     else:
         x = np.zeros(n)
 
-    is_rk = isinstance(kind, RK)
-    is_motzkin = isinstance(kind, Motzkin)
     # RK does not need residuals to pick a row; compute them only when a
     # trace record or a residual-based stop rule demands it.
     stop_on_res_norm = stop is not None and stop.residual_norm is not None
-    res_every_iter = (not is_rk) or stop_on_res_norm
-    rk_cum = np.cumsum(sq_norms) if is_rk else None
+    res_every_iter = not isinstance(kind, RK) or stop_on_res_norm
 
     records: list[TraceRecord] = []
     sq_err = system.sq_error(x) if gt is not None else None
@@ -429,18 +399,11 @@ def solve(
                 termination = "residual_norm"
                 break
 
-            low = high = None
-            if is_rk:
-                u = rng.random() * rk_cum[-1]
-                i = min(int(np.searchsorted(rk_cum, u, side="right")), m - 1)
-            elif is_motzkin:
-                i = int(np.argmax(nres))
-            else:
-                try:
-                    i, low, high = select_row(kind, nres, sq_norms, rng)
-                except (EmptyAdmissibleSetError, InvalidQuantilesError) as exc:
-                    termination = f"error: {exc}"
-                    break
+            try:
+                i, low, high = select_row(kind, nres, sq_norms, cum_sq_norms, rng)
+            except (EmptyAdmissibleSetError, InvalidQuantilesError) as exc:
+                termination = f"error: {exc}"
+                break
 
             if r is not None:
                 x = x - (r[i] / sq_norms[i]) * a[i]

@@ -4,15 +4,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quantile_kaczmarz import (
+    DenseSystem,
     DimensionMismatchError,
-    RowView,
     ZeroRowError,
     extreme_singular_values,
     normalize_rows,
-    normalized_residuals,
-    project_onto_row,
     row_norms,
 )
+
+from conftest import normalized_residuals, step_from
+
+
+def project(x, a, b_i):
+    """Project x onto the hyperplane <a, y> = b_i with one solve step."""
+    return step_from(a[None, :], np.array([float(b_i)]), x)[0]
 
 
 class TestRowNorms:
@@ -60,6 +65,8 @@ class TestNormalizeRows:
 
 
 class TestNormalizedResiduals:
+    # the residuals solve selects on, read per row (conftest.normalized_residuals)
+
     def test_exact_solution_gives_zeros(self):
         rng = np.random.default_rng(2)
         a = rng.normal(size=(6, 3))
@@ -83,29 +90,26 @@ class TestNormalizedResiduals:
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            normalized_residuals(np.eye(2), np.array([1.0, 2.0, 3.0]), np.zeros(2))
+            DenseSystem(np.eye(2), np.array([1.0, 2.0, 3.0]))
 
 
 class TestProjectOntoRow:
     def test_axis_aligned(self):
-        row = RowView(index=0, values=np.array([1.0, 0.0]))
-        out = project_onto_row(np.zeros(2), row, 3.0)
+        out = project(np.zeros(2), np.array([1.0, 0.0]), 3.0)
         assert out.tolist() == [3.0, 0.0]
 
     def test_fixed_point_on_hyperplane(self):
-        row = RowView(index=0, values=np.array([1.0, 2.0]))
         x = np.array([1.0, 2.0])  # <x, a> = 5
-        out = project_onto_row(x, row, 5.0)
+        out = project(x, np.array([1.0, 2.0]), 5.0)
         assert np.allclose(out, x, atol=1e-12)
 
     def test_hand_computed(self):
-        row = RowView(index=0, values=np.array([3.0, 4.0]))
-        out = project_onto_row(np.zeros(2), row, 5.0)
+        out = project(np.zeros(2), np.array([3.0, 4.0]), 5.0)
         assert np.allclose(out, [0.6, 0.8], atol=1e-12)
 
     def test_zero_row_raises(self):
         with pytest.raises(ZeroRowError):
-            project_onto_row(np.zeros(2), RowView(index=0, values=np.zeros(2)), 1.0)
+            project(np.zeros(2), np.zeros(2), 1.0)
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 2**32 - 1))
@@ -114,9 +118,8 @@ class TestProjectOntoRow:
         rng = np.random.default_rng(seed)
         n = 4
         a = rng.normal(size=n)
-        row = RowView(index=0, values=a)
         x = rng.normal(size=n)
-        out = project_onto_row(x, row, rng.normal())
+        out = project(x, a, rng.normal())
         v = rng.normal(size=n)
         v -= (v @ a) / (a @ a) * a
         assert abs((out - x) @ v) <= 1e-10 * max(1.0, np.linalg.norm(out - x) * np.linalg.norm(v))
@@ -132,7 +135,7 @@ class TestProjectOntoRow:
         x_star = rng.normal(size=n)
         b_i = float(a @ x_star)
         x = rng.normal(size=n)
-        out = project_onto_row(x, RowView(index=0, values=a), b_i)
+        out = project(x, a, b_i)
         lhs = np.sum((out - x_star) ** 2) + np.sum((out - x) ** 2)
         rhs = np.sum((x - x_star) ** 2)
         assert lhs == pytest.approx(rhs, rel=1e-9)
@@ -140,18 +143,8 @@ class TestProjectOntoRow:
     def test_hyperplane_membership(self):
         rng = np.random.default_rng(7)
         a = rng.normal(size=6)
-        out = project_onto_row(rng.normal(size=6), RowView(index=0, values=a), 2.5)
+        out = project(rng.normal(size=6), a, 2.5)
         assert abs(out @ a - 2.5) <= 1e-10
-
-
-class TestRowView:
-    def test_bad_cached_norm_rejected(self):
-        with pytest.raises(ValueError):
-            RowView(index=0, values=np.array([3.0, 4.0]), norm=4.9)
-
-    def test_from_matrix(self):
-        view = RowView.from_matrix(np.array([[3.0, 4.0], [1.0, 0.0]]), 0)
-        assert view.norm == pytest.approx(5.0)
 
 
 class TestExtremeSingularValues:
@@ -178,7 +171,3 @@ class TestExtremeSingularValues:
         rng = np.random.default_rng(5)
         a = rng.normal(size=(7, 3))
         assert extreme_singular_values(a) == pytest.approx(extreme_singular_values(a.T))
-
-    def test_bad_tol(self):
-        with pytest.raises(ValueError):
-            extreme_singular_values(np.eye(2), tol=0.0)

@@ -2,20 +2,25 @@ import numpy as np
 import pytest
 
 from quantile_kaczmarz import (
+    RK,
     CorruptionSpec,
+    DenseSystem,
     FileSource,
     GeneratedSource,
     MatrixMarketParseError,
+    OnHyperplane,
     ProblemSpec,
+    SolverConfig,
     UnsupportedFieldError,
     ZeroRowError,
     corrupt,
     generate_system,
-    initial_iterate_on_hyperplane,
     load_matrix_market,
-    normalized_residuals,
     save_matrix_market,
+    solve,
 )
+
+from conftest import normalized_residuals
 
 
 class TestGenerateSystem:
@@ -102,24 +107,29 @@ class TestCorrupt:
             CorruptionSpec(beta=0.1, low=2.0, high=1.0)
 
 
+def hyperplane_start(a, b, row):
+    """The iterate ``solve`` starts from under OnHyperplane(row)."""
+    config = SolverConfig(RK(), max_iters=0, x0=OnHyperplane(row=row))
+    return solve(DenseSystem(a, b), config).final_x
+
+
 class TestInitialIterate:
     def test_unit_row(self):
-        x0 = initial_iterate_on_hyperplane(np.array([[1.0, 0.0], [0.0, 1.0]]),
-                                           np.array([2.0, 5.0]), 0)
+        x0 = hyperplane_start(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([2.0, 5.0]), 0)
         assert x0.tolist() == [2.0, 0.0]
 
     def test_hand_computed(self):
-        x0 = initial_iterate_on_hyperplane(np.array([[3.0, 4.0]]), np.array([5.0]), 0)
+        x0 = hyperplane_start(np.array([[3.0, 4.0]]), np.array([5.0]), 0)
         assert np.allclose(x0, [0.6, 0.8], atol=1e-12)
         assert abs(x0 @ np.array([3.0, 4.0]) - 5.0) <= 1e-10
 
     def test_homogeneous_row(self):
-        x0 = initial_iterate_on_hyperplane(np.array([[1.0, 1.0]]), np.array([0.0]), 0)
+        x0 = hyperplane_start(np.array([[1.0, 1.0]]), np.array([0.0]), 0)
         assert np.array_equal(x0, np.zeros(2))
 
     def test_zero_row(self):
         with pytest.raises(ZeroRowError):
-            initial_iterate_on_hyperplane(np.zeros((2, 2)), np.ones(2), 1)
+            hyperplane_start(np.zeros((2, 2)), np.ones(2), 1)
 
 
 class TestMatrixMarket:

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from quantile_kaczmarz import (
     EmptyInputError,
     InvalidQuantilesError,
-    multiset_quantile,
     partition_two_sided,
 )
 from quantile_kaczmarz.quantiles import (
@@ -18,7 +17,7 @@ from quantile_kaczmarz.quantiles import (
 )
 
 
-def stable_sort_partition(values, q1, q0=None, keys=None) -> QuantilePartition:
+def stable_sort_partition(values, q1, q0=None) -> QuantilePartition:
     """Reference partition: one stable argsort, blocks cut by rank.
 
     The package partition must match it element for element; it sorts
@@ -32,12 +31,6 @@ def stable_sort_partition(values, q1, q0=None, keys=None) -> QuantilePartition:
         raise InvalidQuantilesError(f"q1 must be in (0, 1], got {q1}")
     if q0 is not None and not 0.0 <= q0 < q1:
         raise InvalidQuantilesError(f"need 0 <= q0 < q1 <= 1, got q0={q0}, q1={q1}")
-    if keys is None:
-        keys = np.arange(m)
-    else:
-        keys = np.asarray(keys)
-        if keys.shape != (m,):
-            raise InvalidQuantilesError("keys must have one entry per value")
     k1 = quantile_rank(q1, m)
     k0 = 0 if q0 is None else min(round_half_up(q0 * m), m)
     if k0 >= k1:
@@ -48,10 +41,19 @@ def stable_sort_partition(values, q1, q0=None, keys=None) -> QuantilePartition:
         q1=q1,
         q0_value=float(v[order[k0 - 1]]) if k0 >= 1 else None,
         q1_value=float(v[order[k1 - 1]]),
-        lower=keys[order[:k0]],
-        admissible=keys[order[k0:k1]],
-        upper=keys[order[k1:]],
+        admissible=order[k0:k1],
+        upper=order[k1:],
     )
+
+
+def multiset_quantile(values, q) -> float:
+    """The q-quantile order statistic, as the partition reports it."""
+    return partition_two_sided(values, q1=q).q1_value
+
+
+def lower_block(part: QuantilePartition, m: int) -> np.ndarray:
+    """The indices in neither the admissible nor the upper block."""
+    return np.setdiff1d(np.arange(m), np.concatenate([part.admissible, part.upper]))
 
 
 def same_float_bits(a, b) -> bool:
@@ -73,15 +75,13 @@ def partition_cases(draw):
         st.lists(st.floats(allow_nan=False), min_size=1, max_size=40, unique=True),
         st.lists(st.sampled_from(TIE_ALPHABET) | st.floats(), min_size=1, max_size=40),
     ))
-    m = len(values)
     q1 = draw(st.floats(0.0, 1.0, exclude_min=True))
     q0 = draw(st.none() | st.floats(0.0, 1.0))
-    keys = draw(st.none() | st.lists(st.integers(-5, 5), min_size=m, max_size=m))
-    return values, q1, q0, keys
+    return values, q1, q0
 
 
 def assert_same_partition(got: QuantilePartition, want: QuantilePartition) -> None:
-    for block in ("lower", "admissible", "upper"):
+    for block in ("admissible", "upper"):
         have, expected = getattr(got, block), getattr(want, block)
         assert have.dtype == expected.dtype, block
         assert have.tolist() == expected.tolist(), block
@@ -139,7 +139,7 @@ class TestPartition:
     def test_distinct_values_example(self):
         # values sorted ascending are 0.1(idx 4), 0.2(3), 0.3(2), 0.4(1), 0.5(0)
         part = partition_two_sided([0.5, 0.4, 0.3, 0.2, 0.1], q1=0.8, q0=0.2)
-        assert part.lower.tolist() == [4]
+        assert lower_block(part, 5).tolist() == [4]
         assert part.admissible.tolist() == [3, 2, 1]
         assert part.upper.tolist() == [0]
         assert part.q0_value == pytest.approx(0.1)
@@ -148,7 +148,7 @@ class TestPartition:
     def test_tie_rule_on_equal_values(self):
         # all equal: index order decides the split completely
         part = partition_two_sided([2.0] * 5, q1=0.8, q0=0.4)
-        assert part.lower.tolist() == [0, 1]
+        assert lower_block(part, 5).tolist() == [0, 1]
         assert part.admissible.tolist() == [2, 3]
         assert part.upper.tolist() == [4]
 
@@ -156,7 +156,7 @@ class TestPartition:
         rng = np.random.default_rng(11)
         values = rng.uniform(size=10)
         part = partition_two_sided(values, q1=0.6)
-        assert part.lower.size == 0
+        assert 10 - part.admissible.size - part.upper.size == 0
         assert part.admissible.size == 6
         assert values[part.admissible].max() == multiset_quantile(values, 0.6)
 
@@ -164,13 +164,15 @@ class TestPartition:
         rng = np.random.default_rng(12)
         values = rng.uniform(size=9)
         part = partition_two_sided(values, q1=0.5)
-        combined = np.concatenate([part.lower, part.admissible, part.upper])
+        assert 9 - part.admissible.size - part.upper.size == 0
+        combined = np.concatenate([part.admissible, part.upper])
         assert sorted(combined.tolist()) == list(range(9))
 
     def test_custom_keys(self):
+        # blocks are positions in value order; a caller's labels index by them
         keys = np.array([10, 20, 30])
-        part = partition_two_sided([3.0, 1.0, 2.0], q1=1.0, keys=keys)
-        assert part.admissible.tolist() == [20, 30, 10]
+        part = partition_two_sided([3.0, 1.0, 2.0], q1=1.0)
+        assert keys[part.admissible].tolist() == [20, 30, 10]
 
     def test_empty_admissible_rejected(self):
         # rounding collapses both cut points to the same rank
@@ -191,7 +193,7 @@ class TestPartition:
                 if j0 >= j1:
                     continue
                 part = partition_two_sided(values, q1=j1 / m, q0=j0 / m if j0 else None)
-                assert part.lower.size == j0
+                assert m - part.admissible.size - part.upper.size == j0
                 assert part.admissible.size == j1 - j0
                 assert part.upper.size == m - j1
 
@@ -209,24 +211,25 @@ class TestPartition:
         permuted = partition_two_sided(values[perm], q1=j1 / m, q0=j0 / m if j0 else None)
         # index i in the permuted input holds values[perm[i]]
         assert sorted(perm[permuted.admissible].tolist()) == sorted(base.admissible.tolist())
-        assert sorted(perm[permuted.lower].tolist()) == sorted(base.lower.tolist())
+        assert (sorted(perm[lower_block(permuted, m)].tolist())
+                == sorted(lower_block(base, m).tolist()))
 
 
 class TestPartitionMatchesStableSortOracle:
     @settings(max_examples=400, deadline=None)
     @given(partition_cases())
-    @example(([0.3, 0.1, 0.2, 0.4, 0.5], 0.8, 0.2, [5, 4, 3, 2, 1]))  # distinct: fast path
-    @example(([1.0, 0.5, 1.0, 0.5, 0.5], 0.8, 0.2, None))  # ties: fallback
-    @example(([0.2, float("nan"), 0.1, -0.0, 0.0], 0.8, 0.2, None))  # NaN, signed zeros
+    @example(([0.3, 0.1, 0.2, 0.4, 0.5], 0.8, 0.2))  # distinct: fast path
+    @example(([1.0, 0.5, 1.0, 0.5, 0.5], 0.8, 0.2))  # ties: fallback
+    @example(([0.2, float("nan"), 0.1, -0.0, 0.0], 0.8, 0.2))  # NaN, signed zeros
     def test_blocks_and_thresholds_identical(self, case):
-        values, q1, q0, keys = case
+        values, q1, q0 = case
         try:
-            want = stable_sort_partition(values, q1=q1, q0=q0, keys=keys)
+            want = stable_sort_partition(values, q1=q1, q0=q0)
         except InvalidQuantilesError:
             with pytest.raises(InvalidQuantilesError):
-                partition_two_sided(values, q1=q1, q0=q0, keys=keys)
+                partition_two_sided(values, q1=q1, q0=q0)
             return
-        assert_same_partition(partition_two_sided(values, q1=q1, q0=q0, keys=keys), want)
+        assert_same_partition(partition_two_sided(values, q1=q1, q0=q0), want)
 
     def test_large_tie_free_vector(self):
         values = np.random.default_rng(14).normal(size=2500)

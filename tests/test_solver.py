@@ -22,11 +22,12 @@ from quantile_kaczmarz import (
     partition_two_sided,
     select_row,
     solve,
-    step,
     subset_sigma_min,
     weighted_sample,
 )
 from quantile_kaczmarz.problems import CorruptionSpec, GeneratedSource, ProblemSpec
+
+from conftest import step_from
 
 
 def rng_with(seed):
@@ -62,39 +63,56 @@ class TestSelectorKinds:
             parse_selector("rqrk")
 
 
+def sample(weights, rng):
+    return weighted_sample(np.cumsum(weights), rng)
+
+
 class TestWeightedSample:
     def test_singleton(self):
-        assert weighted_sample([2.5], rng_with(0)) == 0
+        assert sample([2.5], rng_with(0)) == 0
 
     def test_even_weights_frequencies(self):
         rng = rng_with(1)
-        draws = np.array([weighted_sample([1.0, 1.0], rng) for _ in range(100_000)])
+        draws = np.array([sample([1.0, 1.0], rng) for _ in range(100_000)])
         assert abs(draws.mean() - 0.5) < 0.01
 
     def test_uneven_weights_frequencies(self):
         rng = rng_with(2)
-        draws = np.array([weighted_sample([1.0, 3.0], rng) for _ in range(100_000)])
+        draws = np.array([sample([1.0, 3.0], rng) for _ in range(100_000)])
         freq1 = draws.mean()
         assert abs(freq1 - 0.75) < 0.01
         assert abs((1 - freq1) - 0.25) < 0.01
 
     def test_all_zero_raises(self):
         with pytest.raises(AllZeroWeightsError):
-            weighted_sample([0.0, 0.0], rng_with(3))
+            sample([0.0, 0.0], rng_with(3))
 
     def test_zero_weight_never_chosen(self):
         rng = rng_with(4)
-        draws = {weighted_sample([1.0, 0.0, 1.0], rng) for _ in range(2000)}
+        draws = {sample([1.0, 0.0, 1.0], rng) for _ in range(2000)}
         assert 1 not in draws
+
+    def test_trailing_zero_weight_never_chosen(self):
+        # a uniform that rounds up to the total lands past the last entry
+        class Top:
+            def random(self):
+                return 1.0
+
+        assert sample([1.0, 2.0, 0.0, 0.0], Top()) == 1
+
+
+def uniform_weights(m):
+    return np.ones(m), np.arange(1.0, m + 1)
 
 
 class TestSelectRow:
     def test_motzkin_argmax(self):
-        i, low, high = select_row(Motzkin(), np.array([0.1, 0.9, 0.4]), np.ones(3), rng_with(0))
+        i, low, high = select_row(Motzkin(), np.array([0.1, 0.9, 0.4]),
+                                  *uniform_weights(3), rng_with(0))
         assert (i, low, high) == (1, None, None)
 
     def test_motzkin_tie_smallest_index(self):
-        i, _, _ = select_row(Motzkin(), np.array([0.4, 0.9, 0.9]), np.ones(3), rng_with(0))
+        i, _, _ = select_row(Motzkin(), np.array([0.4, 0.9, 0.9]), *uniform_weights(3), rng_with(0))
         assert i == 1
 
     def test_dqrk_uniform_over_band(self):
@@ -102,7 +120,7 @@ class TestSelectRow:
         rng = rng_with(5)
         counts = np.zeros(5)
         for _ in range(100_000):
-            i, low, high = select_row(DQRK(0.2, 0.8), residuals, np.ones(5), rng)
+            i, low, high = select_row(DQRK(0.2, 0.8), residuals, *uniform_weights(5), rng)
             counts[i] += 1
         freqs = counts / counts.sum()
         assert freqs[0] == 0.0 and freqs[4] == 0.0
@@ -111,7 +129,7 @@ class TestSelectRow:
 
     def test_dqrk_thresholds_reported(self):
         residuals = np.array([0.5, 0.4, 0.3, 0.2, 0.1])
-        _, low, high = select_row(DQRK(0.2, 0.8), residuals, np.ones(5), rng_with(6))
+        _, low, high = select_row(DQRK(0.2, 0.8), residuals, *uniform_weights(5), rng_with(6))
         assert low == pytest.approx(0.1)
         assert high == pytest.approx(0.4)
 
@@ -119,13 +137,13 @@ class TestSelectRow:
         rng = np.random.default_rng(7)
         residuals = rng.uniform(size=10)  # unique max almost surely
         m = residuals.size
-        i_rq, _, _ = select_row(RQRK((m - 1) / m), residuals, np.ones(m), rng_with(8))
-        i_mz, _, _ = select_row(Motzkin(), residuals, np.ones(m), rng_with(9))
+        i_rq, _, _ = select_row(RQRK((m - 1) / m), residuals, *uniform_weights(m), rng_with(8))
+        i_mz, _, _ = select_row(Motzkin(), residuals, *uniform_weights(m), rng_with(9))
         assert i_rq == i_mz == int(np.argmax(residuals))
 
     def test_rqrk_empty_upper_block(self):
         with pytest.raises(EmptyAdmissibleSetError):
-            select_row(RQRK(0.9), np.arange(4.0), np.ones(4), rng_with(10))
+            select_row(RQRK(0.9), np.arange(4.0), *uniform_weights(4), rng_with(10))
 
     def test_containment_dqrk_within_qrk(self):
         rng = np.random.default_rng(11)
@@ -136,44 +154,43 @@ class TestSelectRow:
 
 
 class TestStep:
+    # one step from an arbitrary x is a one-iteration solve from the origin
+    # of the system shifted by x (conftest.step_from)
+
     def test_solution_is_fixed_point(self):
         system = consistent_system(30, 4, seed=20)
         x_star = system.ground_truth.x_star
         for kind in ALL_SELECTORS:
-            x_next, _ = step(system, x_star, kind, rng_with(1))
+            x_next, _ = step_from(system.A, system.b, x_star, kind, seed=1)
             assert np.allclose(x_next, x_star, atol=1e-12)
 
     def test_identity_motzkin_axis_projection(self):
-        system = DenseSystem(A=np.eye(2), b=np.array([1.0, 2.0]))
-        x_next, record = step(system, np.zeros(2), Motzkin(), rng_with(2))
-        assert record.row == 1
+        x_next, row = step_from(np.eye(2), np.array([1.0, 2.0]), np.zeros(2), Motzkin(), seed=2)
+        assert row == 1
         assert x_next.tolist() == [0.0, 2.0]
 
     def test_rk_error_never_increases(self):
         system = consistent_system(50, 10, seed=21)
         x_star = system.ground_truth.x_star
-        rng = rng_with(3)
         gen = np.random.default_rng(22)
-        for _ in range(1000):
+        for seed in range(1000):
             x = gen.normal(size=10)
             before = np.linalg.norm(x - x_star)
-            x_next, _ = step(system, x, RK(), rng)
+            x_next, _ = step_from(system.A, system.b, x, RK(), seed=seed)
             after = np.linalg.norm(x_next - x_star)
             assert after <= before + 1e-12
 
     def test_hyperplane_membership_after_step(self):
         system = consistent_system(25, 5, seed=23)
-        rng = rng_with(4)
         x = np.random.default_rng(24).normal(size=5)
-        for kind in ALL_SELECTORS:
-            x_next, record = step(system, x, kind, rng)
-            a_i = system.A[record.row]
-            assert abs(x_next @ a_i - system.b[record.row]) <= 1e-10
+        for seed, kind in enumerate(ALL_SELECTORS):
+            x_next, row = step_from(system.A, system.b, x, kind, seed=seed)
+            a_i = system.A[row]
+            assert abs(x_next @ a_i - system.b[row]) <= 1e-10
 
     def test_zero_row_raises(self):
-        system = DenseSystem(A=np.array([[1.0, 0.0], [0.0, 0.0]]), b=np.zeros(2))
         with pytest.raises(ZeroRowError):
-            step(system, np.zeros(2), RK(), rng_with(5))
+            step_from(np.array([[1.0, 0.0], [0.0, 0.0]]), np.zeros(2), np.zeros(2), RK(), seed=5)
 
 
 class TestSolve:
@@ -278,7 +295,7 @@ class TestContractionAgainstTheory:
         trials = 100_000
         ratios = np.empty(trials)
         for t in range(trials):
-            i, _, _ = select_row(RQRK(0.5), residuals, np.ones(16), rng)
+            i, _, _ = select_row(RQRK(0.5), residuals, *uniform_weights(16), rng)
             x_next = x + ((b[i] - a[i] @ x)) * a[i]
             ratios[t] = system.sq_error(x_next) / base
 
