@@ -19,20 +19,22 @@ from pathlib import Path
 
 from .errors import QuantileKaczmarzError
 from .harness import (
+    BenchRow,
+    DiagnosticRow,
     ExperimentSpec,
     RunSpec,
+    ThresholdResult,
     cost_parity_benchmark,
     diagnostic_report,
     emit_artifacts,
+    parse_x0,
     run_experiment,
     spec_from_dict,
     time_to_threshold,
-    write_bench_table,
-    write_diagnostic_table,
-    write_threshold_table,
+    write_table,
 )
 from .problems import CorruptionSpec, FileSource, GeneratedSource, ProblemSpec
-from .solver import OnHyperplane, Origin, StopRule, parse_selector
+from .solver import StopRule, parse_selector
 
 USAGE_ERROR = 1
 RUNTIME_ERROR = 2
@@ -79,16 +81,6 @@ def _add_method_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--q", type=float, help="quantile for qrk/rqrk")
     p.add_argument("--q0", type=float, help="lower quantile for dqrk")
     p.add_argument("--q1", type=float, help="upper quantile for dqrk")
-
-
-def _x0_from_arg(text: str):
-    if text == "origin":
-        return Origin()
-    if text == "hyperplane":
-        return OnHyperplane()
-    if text.startswith("hyperplane:"):
-        return OnHyperplane(row=int(text.split(":", 1)[1]))
-    raise QuantileKaczmarzError(f"unknown x0 policy {text!r}")
 
 
 def build_parser() -> _Parser:
@@ -145,7 +137,7 @@ def _cmd_solve(args) -> int:
     spec = ExperimentSpec(
         problem=_problem_from_args(args),
         runs=(RunSpec(label=args.method, selector=selector, max_iters=args.iters,
-                      stop=stop, x0=_x0_from_arg(args.x0)),),
+                      stop=stop, x0=parse_x0(args.x0)),),
         trials=args.trials,
         seed=args.seed,
         record_every=args.record_every,
@@ -178,7 +170,7 @@ def _cmd_experiment(args) -> int:
 def _cmd_diagnose(args) -> int:
     rows = diagnostic_report(args.matrices, q0=args.q0, q1=args.q1, beta=args.beta)
     out = args.out / f"diagnostics.{args.format}"
-    write_diagnostic_table(rows, out, fmt=args.format)
+    write_table(rows, DiagnosticRow, out, fmt=args.format)
     for row in rows:
         if row.error:
             print(f"{row.matrix}: ERROR {row.error}", file=sys.stderr)
@@ -199,7 +191,7 @@ def _cmd_bench(args) -> int:
                                    iters=args.iters, repeats=args.repeats,
                                    seed=args.seed)
     out = args.out / f"bench.{args.format}"
-    write_bench_table(report, out, fmt=args.format)
+    write_table(report.rows, BenchRow, out, fmt=args.format)
     for row in report.rows:
         print(f"{row.label}: {row.seconds_median:.4f} s for {row.iters} iterations")
     if "qrk" in methods and "dqrk" in methods:
@@ -213,7 +205,7 @@ def _cmd_threshold(args) -> int:
         spec = spec_from_dict(json.load(fh))
     results = time_to_threshold(spec, args.threshold)
     out = args.out / f"threshold.{args.format}"
-    write_threshold_table(results, out, fmt=args.format)
+    write_table(results, ThresholdResult, out, fmt=args.format)
     for r in results:
         med = "n/a" if r.median_iterations is None else f"{r.median_iterations:.0f}"
         print(f"{r.label}: reached {r.reached_fraction:.0%}, median iterations {med}")

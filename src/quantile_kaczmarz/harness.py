@@ -26,6 +26,7 @@ import statistics
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import ClassVar
 from pathlib import Path
 
 import numpy as np
@@ -140,10 +141,16 @@ class ExperimentResult:
     traces: dict[tuple[str, int], SolveTrace]
     failures: dict[tuple[str, int], str]
     seeds: dict[tuple[str, int], int]
+    seconds: dict[tuple[str, int], float]
 
 
 def run_experiment(spec: ExperimentSpec, record: bool = True) -> ExperimentResult:
-    """Solve every (run, trial) pair; per-run failures do not abort the rest."""
+    """Solve every (run, trial) pair; per-run failures do not abort the rest.
+
+    ``seconds`` holds each solve's wall-clock time; with ``workers > 1`` the
+    solves share the machine, so the times measure one solve alone only when
+    the pairs run serially.
+    """
     systems = [generate_system(problem_for_trial(spec, t)) for t in range(spec.trials)]
 
     jobs = [(run, trial) for trial in range(spec.trials) for run in spec.runs]
@@ -159,12 +166,14 @@ def run_experiment(spec: ExperimentSpec, record: bool = True) -> ExperimentResul
             x0=run.x0,
             stop=run.stop,
         )
+        start = time.perf_counter()
         try:
             trace = solve(systems[trial], config,
                           record_every=spec.record_every, record=record)
-            return (run.label, trial), trace, None
+            error = None
         except QuantileKaczmarzError as exc:
-            return (run.label, trial), None, f"{type(exc).__name__}: {exc}"
+            trace, error = None, f"{type(exc).__name__}: {exc}"
+        return (run.label, trial), trace, error, time.perf_counter() - start
 
     if spec.workers > 1:
         with ThreadPoolExecutor(max_workers=spec.workers) as pool:
@@ -172,9 +181,11 @@ def run_experiment(spec: ExperimentSpec, record: bool = True) -> ExperimentResul
     else:
         outcomes = [run_one(job) for job in jobs]
 
-    traces = {key: trace for key, trace, err in outcomes if err is None}
-    failures = {key: err for key, trace, err in outcomes if err is not None}
-    return ExperimentResult(spec=spec, traces=traces, failures=failures, seeds=seeds)
+    traces = {key: trace for key, trace, err, _ in outcomes if err is None}
+    failures = {key: err for key, _, err, _ in outcomes if err is not None}
+    seconds = {key: secs for key, _, _, secs in outcomes}
+    return ExperimentResult(spec=spec, traces=traces, failures=failures, seeds=seeds,
+                            seconds=seconds)
 
 
 # --------------------------------------------------------------------------
@@ -199,6 +210,14 @@ class ThresholdResult:
     median_seconds: float | None
     iqr_seconds: float | None
 
+    CSV_COLUMNS: ClassVar = ("label", "threshold", "trials", "reached_fraction",
+                             "median_iterations", "iqr_iterations",
+                             "median_seconds", "iqr_seconds")
+
+    @property
+    def trials(self) -> int:
+        return len(self.iterations)
+
 
 def _median_iqr(values) -> tuple[float | None, float | None]:
     values = sorted(values)
@@ -213,26 +232,22 @@ def _median_iqr(values) -> tuple[float | None, float | None]:
 
 def time_to_threshold(spec: ExperimentSpec, threshold: float) -> list[ThresholdResult]:
     """Per run: iterations and wall-clock until the squared error reaches
-    ``threshold``, censored at the run's iteration cap."""
-    systems = [generate_system(problem_for_trial(spec, t)) for t in range(spec.trials)]
+    ``threshold``, censored at the run's iteration cap.
+
+    The trials are those of ``run_experiment`` with every run's stop rule
+    replaced by the threshold, solved one at a time so each is timed alone.
+    """
+    stop = StopRule(target_sq_error=threshold)
+    result = run_experiment(dataclasses.replace(
+        spec, runs=tuple(dataclasses.replace(run, stop=stop) for run in spec.runs), workers=1),
+        record=False)
     results = []
     for run in spec.runs:
-        iters: list[int | None] = []
-        secs: list[float] = []
-        for trial in range(spec.trials):
-            config = SolverConfig(
-                selector=run.selector,
-                max_iters=run.max_iters,
-                seed=derive_seed(spec.seed, run.label, trial),
-                x0=run.x0,
-                stop=StopRule(target_sq_error=threshold),
-            )
-            start = time.perf_counter()
-            trace = solve(systems[trial], config, record=False)
-            elapsed = time.perf_counter() - start
-            reached = trace.termination == "target_sq_error"
-            iters.append(trace.iterations if reached else None)
-            secs.append(elapsed)
+        keys = [(run.label, trial) for trial in range(spec.trials)]
+        traces = [result.traces[key] for key in keys]
+        iters = tuple(trace.iterations if trace.termination == "target_sq_error" else None
+                      for trace in traces)
+        secs = tuple(result.seconds[key] for key in keys)
         reached_iters = [i for i in iters if i is not None]
         reached_secs = [s for s, i in zip(secs, iters) if i is not None]
         med_i, iqr_i = _median_iqr(reached_iters)
@@ -240,8 +255,8 @@ def time_to_threshold(spec: ExperimentSpec, threshold: float) -> list[ThresholdR
         results.append(ThresholdResult(
             label=run.label,
             threshold=threshold,
-            iterations=tuple(iters),
-            seconds=tuple(secs),
+            iterations=iters,
+            seconds=secs,
             reached_fraction=len(reached_iters) / spec.trials,
             median_iterations=med_i,
             iqr_iterations=iqr_i,
@@ -257,6 +272,12 @@ class BenchRow:
     iters: int
     seconds: tuple[float, ...]
     seconds_median: float
+
+    CSV_COLUMNS: ClassVar = ("label", "iters", "seconds_median", "seconds_per_iteration")
+
+    @property
+    def seconds_per_iteration(self) -> float:
+        return self.seconds_median / self.iters
 
 
 @dataclass(frozen=True)
@@ -318,6 +339,12 @@ class DiagnosticRow:
     sigma_loo_min: float | None
     diagnostic: float | None
     error: str | None = None
+
+    CSV_COLUMNS: ClassVar = ("matrix", "rows", "cols", "sigma_loo_min", "E", "error")
+
+    @property
+    def E(self) -> float | None:  # the diagnostic's name in the paper and the CSV header
+        return self.diagnostic
 
 
 def diagnostic_report(paths, q0: float, q1: float, beta: float) -> list[DiagnosticRow]:
@@ -381,13 +408,31 @@ TRAJECTORY_COLUMNS = ["label", "trial", "iteration", "squared_error",
                       "residual_norm", "chosen_row", "Q0", "Q1"]
 
 
-def write_trajectory_csv(result: ExperimentResult, path) -> None:
+def _csv_text(header, rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(TRAJECTORY_COLUMNS)
-    for row in trajectory_rows(result):
-        writer.writerow([_cell(row[c]) for c in TRAJECTORY_COLUMNS])
-    atomic_write_text(path, buf.getvalue())
+    writer.writerow(header)
+    writer.writerows([_cell(value) for value in row] for row in rows)
+    return buf.getvalue()
+
+
+def write_trajectory_csv(result: ExperimentResult, path) -> None:
+    rows = ([row[c] for c in TRAJECTORY_COLUMNS] for row in trajectory_rows(result))
+    atomic_write_text(path, _csv_text(TRAJECTORY_COLUMNS, rows))
+
+
+def write_table(rows, row_type, path, fmt: str = "csv") -> None:
+    """Write dataclass rows of ``row_type`` as CSV or as a JSON list.
+
+    The CSV columns are ``row_type.CSV_COLUMNS``, fields or properties
+    derived from them; the JSON objects hold every field.
+    """
+    if fmt == "json":
+        text = json.dumps([dataclasses.asdict(r) for r in rows], sort_keys=True, indent=2) + "\n"
+    else:
+        columns = row_type.CSV_COLUMNS
+        text = _csv_text(columns, ([getattr(r, c) for c in columns] for r in rows))
+    atomic_write_text(path, text)
 
 
 def _selector_dict(kind: SelectorKind) -> dict:
@@ -401,6 +446,17 @@ def _x0_dict(policy: X0Policy):
     if isinstance(policy, OnHyperplane):
         return "hyperplane" if policy.row is None else f"hyperplane:{policy.row}"
     return "origin"
+
+
+def parse_x0(text) -> X0Policy:
+    """Parse an x0 policy: "origin", "hyperplane" or "hyperplane:<row>"."""
+    if text == "origin":
+        return Origin()
+    if text == "hyperplane":
+        return OnHyperplane()
+    if isinstance(text, str) and text.startswith("hyperplane:"):
+        return OnHyperplane(row=int(text.split(":", 1)[1]))
+    raise ValueError(f"unknown x0 policy {text!r}")
 
 
 def spec_to_dict(spec: ExperimentSpec) -> dict:
@@ -480,17 +536,9 @@ def spec_from_dict(data: dict) -> ExperimentSpec:
                 target_sq_error=stop_data.get("target_sq_error"),
                 residual_norm=stop_data.get("residual_norm"),
             )
-        x0_data = entry.get("x0", "origin")
-        if x0_data == "origin":
-            x0: X0Policy = Origin()
-        elif x0_data == "hyperplane":
-            x0 = OnHyperplane()
-        elif isinstance(x0_data, str) and x0_data.startswith("hyperplane:"):
-            x0 = OnHyperplane(row=int(x0_data.split(":", 1)[1]))
-        else:
-            raise ValueError(f"unknown x0 policy {x0_data!r}")
         runs.append(RunSpec(label=entry["label"], selector=selector,
-                            max_iters=int(entry["iters"]), stop=stop, x0=x0))
+                            max_iters=int(entry["iters"]), stop=stop,
+                            x0=parse_x0(entry.get("x0", "origin"))))
     return ExperimentSpec(
         problem=problem,
         runs=tuple(runs),
@@ -536,51 +584,6 @@ def summary_dict(result: ExperimentResult) -> dict:
 
 def write_summary_json(result: ExperimentResult, path) -> None:
     atomic_write_text(path, json.dumps(summary_dict(result), sort_keys=True, indent=2) + "\n")
-
-
-def write_threshold_table(results: list[ThresholdResult], path, fmt: str = "csv") -> None:
-    if fmt == "json":
-        payload = [dataclasses.asdict(r) for r in results]
-        atomic_write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
-        return
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["label", "threshold", "trials", "reached_fraction",
-                     "median_iterations", "iqr_iterations",
-                     "median_seconds", "iqr_seconds"])
-    for r in results:
-        writer.writerow([_cell(v) for v in (
-            r.label, r.threshold, len(r.iterations), r.reached_fraction,
-            r.median_iterations, r.iqr_iterations, r.median_seconds, r.iqr_seconds)])
-    atomic_write_text(path, buf.getvalue())
-
-
-def write_bench_table(report: BenchReport, path, fmt: str = "csv") -> None:
-    if fmt == "json":
-        payload = [dataclasses.asdict(r) for r in report.rows]
-        atomic_write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
-        return
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["label", "iters", "seconds_median", "seconds_per_iteration"])
-    for r in report.rows:
-        writer.writerow([_cell(v) for v in (
-            r.label, r.iters, r.seconds_median, r.seconds_median / r.iters)])
-    atomic_write_text(path, buf.getvalue())
-
-
-def write_diagnostic_table(rows: list[DiagnosticRow], path, fmt: str = "csv") -> None:
-    if fmt == "json":
-        payload = [dataclasses.asdict(r) for r in rows]
-        atomic_write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
-        return
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["matrix", "rows", "cols", "sigma_loo_min", "E", "error"])
-    for r in rows:
-        writer.writerow([_cell(v) for v in (
-            r.matrix, r.rows, r.cols, r.sigma_loo_min, r.diagnostic, r.error)])
-    atomic_write_text(path, buf.getvalue())
 
 
 def emit_artifacts(result: ExperimentResult, outdir) -> dict[str, Path]:

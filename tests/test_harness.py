@@ -26,11 +26,12 @@ from quantile_kaczmarz import (
 )
 from quantile_kaczmarz import harness
 from quantile_kaczmarz.harness import (
+    BenchRow,
+    DiagnosticRow,
+    ThresholdResult,
     problem_for_trial,
     summary_dict,
-    write_bench_table,
-    write_diagnostic_table,
-    write_threshold_table,
+    write_table,
     write_trajectory_csv,
 )
 from quantile_kaczmarz.problems import CorruptionSpec, GeneratedSource, ProblemSpec
@@ -225,8 +226,8 @@ class TestThreshold:
     def test_table_writers(self, tmp_path):
         spec = small_spec(runs=(RunSpec(label="rk", selector=RK(), max_iters=30),))
         results = time_to_threshold(spec, threshold=1e9)
-        write_threshold_table(results, tmp_path / "t.csv", fmt="csv")
-        write_threshold_table(results, tmp_path / "t.json", fmt="json")
+        write_table(results, ThresholdResult, tmp_path / "t.csv", fmt="csv")
+        write_table(results, ThresholdResult, tmp_path / "t.json", fmt="json")
         with open(tmp_path / "t.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert rows[0]["label"] == "rk"
@@ -244,7 +245,7 @@ class TestBench:
         assert report.seconds("rk") > 0
         # no residuals and no quantile pass: plain sampling must be cheaper
         assert report.seconds("rk") < report.seconds("qrk")
-        write_bench_table(report, tmp_path / "b.csv")
+        write_table(report.rows, BenchRow, tmp_path / "b.csv")
         with open(tmp_path / "b.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert [r["label"] for r in rows] == ["rk", "qrk"]
@@ -310,7 +311,7 @@ class TestDiagnosticReport:
         path = tmp_path / "m.mtx"
         save_matrix_market(path, a)
         rows = diagnostic_report([path], q0=0.6, q1=0.8, beta=0.01)
-        write_diagnostic_table(rows, tmp_path / "d.csv")
+        write_table(rows, DiagnosticRow, tmp_path / "d.csv")
         with open(tmp_path / "d.csv") as fh:
             parsed = list(csv.DictReader(fh))
         assert parsed[0]["matrix"] == "m"
