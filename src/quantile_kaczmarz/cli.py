@@ -209,8 +209,12 @@ def _cmd_threshold(args) -> int:
     for r in results:
         med = "n/a" if r.median_iterations is None else f"{r.median_iterations:.0f}"
         print(f"{r.label}: reached {r.reached_fraction:.0%}, median iterations {med}")
+    for r in results:
+        for trial, message in enumerate(r.failures):
+            if message is not None:
+                print(f"{r.label} trial {trial}: FAILED {message}", file=sys.stderr)
     print(f"wrote {out}")
-    return 0
+    return RUNTIME_ERROR if any(r.failed for r in results) else 0
 
 
 _COMMANDS = {

@@ -196,14 +196,17 @@ def run_experiment(spec: ExperimentSpec, record: bool = True) -> ExperimentResul
 class ThresholdResult:
     """Iterations/wall-clock to reach a squared-error target, per trial.
 
-    ``iterations`` holds None for censored trials (target not reached);
-    medians and interquartile ranges cover only the trials that reached it.
+    ``iterations`` holds None for censored trials (target not reached) and
+    for failed trials; ``failures`` holds a failed trial's error and None for
+    every trial that ran, so failed trials are not counted as censored.
+    Medians and interquartile ranges cover only the trials that reached it.
     """
 
     label: str
     threshold: float
     iterations: tuple[int | None, ...]
     seconds: tuple[float, ...]
+    failures: tuple[str | None, ...]
     reached_fraction: float
     median_iterations: float | None
     iqr_iterations: float | None
@@ -212,11 +215,15 @@ class ThresholdResult:
 
     CSV_COLUMNS: ClassVar = ("label", "threshold", "trials", "reached_fraction",
                              "median_iterations", "iqr_iterations",
-                             "median_seconds", "iqr_seconds")
+                             "median_seconds", "iqr_seconds", "failed")
 
     @property
     def trials(self) -> int:
         return len(self.iterations)
+
+    @property
+    def failed(self) -> int:
+        return sum(error is not None for error in self.failures)
 
 
 def _median_iqr(values) -> tuple[float | None, float | None]:
@@ -244,9 +251,9 @@ def time_to_threshold(spec: ExperimentSpec, threshold: float) -> list[ThresholdR
     results = []
     for run in spec.runs:
         keys = [(run.label, trial) for trial in range(spec.trials)]
-        traces = [result.traces[key] for key in keys]
-        iters = tuple(trace.iterations if trace.termination == "target_sq_error" else None
-                      for trace in traces)
+        traces = [result.traces.get(key) for key in keys]
+        iters = tuple(None if trace is None or trace.termination != "target_sq_error"
+                      else trace.iterations for trace in traces)
         secs = tuple(result.seconds[key] for key in keys)
         reached_iters = [i for i in iters if i is not None]
         reached_secs = [s for s, i in zip(secs, iters) if i is not None]
@@ -257,6 +264,7 @@ def time_to_threshold(spec: ExperimentSpec, threshold: float) -> list[ThresholdR
             threshold=threshold,
             iterations=iters,
             seconds=secs,
+            failures=tuple(result.failures.get(key) for key in keys),
             reached_fraction=len(reached_iters) / spec.trials,
             median_iterations=med_i,
             iqr_iterations=iqr_i,

@@ -165,3 +165,32 @@ class TestBenchAndThreshold:
             rows = list(csv.DictReader(fh))
         assert rows[0]["label"] == "rqrk"
         assert float(rows[0]["reached_fraction"]) == 1.0
+
+    def test_threshold_failed_run_exits_2_after_writing_table(self, tmp_path, capsys):
+        spec = {
+            "seed": 3,
+            "trials": 2,
+            "problem": {"source": {"kind": "generated", "dist": "gaussian", "m": 50, "n": 5}},
+            "runs": [{"label": "qrk", "method": "qrk", "q": 0.8, "iters": 2000},
+                     {"label": "rqrk", "method": "rqrk", "q": 0.001, "iters": 2000}],
+        }
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        for fmt in ("csv", "json"):
+            code = run_cli("threshold", str(spec_path), "--threshold", "1e-6",
+                           "--out", str(tmp_path / fmt), "--format", fmt)
+            assert code == 2
+            err = capsys.readouterr().err
+            assert "rqrk trial 0: FAILED InvalidQuantilesError" in err
+            assert "rqrk trial 1: FAILED InvalidQuantilesError" in err
+            assert not any(line.startswith("qrk ") for line in err.splitlines())
+        with open(tmp_path / "csv" / "threshold.csv") as fh:
+            rows = {r["label"]: r for r in csv.DictReader(fh)}
+        assert (rows["qrk"]["trials"], rows["qrk"]["failed"]) == ("2", "0")
+        assert (rows["rqrk"]["trials"], rows["rqrk"]["failed"]) == ("2", "2")
+        assert float(rows["rqrk"]["reached_fraction"]) == 0.0
+        table = {r["label"]: r for r in json.load(open(tmp_path / "json" / "threshold.json"))}
+        assert table["qrk"]["failures"] == [None, None]
+        assert table["rqrk"]["iterations"] == [None, None]
+        assert all(e.startswith("InvalidQuantilesError: rqrk needs 1/m <= q")
+                   for e in table["rqrk"]["failures"])

@@ -20,8 +20,8 @@ DIAGNOSE_KEYS = {"matrix", "rows", "cols", "sigma_loo_min", "diagnostic", "error
 BENCH_HEADER = "label,iters,seconds_median,seconds_per_iteration"
 BENCH_KEYS = {"label", "iters", "seconds", "seconds_median"}
 THRESHOLD_HEADER = ("label,threshold,trials,reached_fraction,median_iterations,"
-                    "iqr_iterations,median_seconds,iqr_seconds")
-THRESHOLD_KEYS = {"label", "threshold", "iterations", "seconds", "reached_fraction",
+                    "iqr_iterations,median_seconds,iqr_seconds,failed")
+THRESHOLD_KEYS = {"label", "threshold", "iterations", "seconds", "failures", "reached_fraction",
                   "median_iterations", "iqr_iterations", "median_seconds", "iqr_seconds"}
 
 
@@ -73,9 +73,9 @@ def test_threshold_table(tmp_path):
     }))
     header, rows, payload = write_both(tmp_path, "threshold", str(spec), "--threshold", "1e9")
     assert header == THRESHOLD_HEADER
-    assert [row[:6] for row in rows] == [
-        ["rk", "1000000000.0", "2", "1.0", "0.0", "0.0"],
-        ["band", "1000000000.0", "2", "1.0", "0.0", "0.0"]]
+    assert [row[:6] + row[8:] for row in rows] == [
+        ["rk", "1000000000.0", "2", "1.0", "0.0", "0.0", "0"],
+        ["band", "1000000000.0", "2", "1.0", "0.0", "0.0", "0"]]
     assert [set(row) for row in payload] == [THRESHOLD_KEYS] * 2
-    assert [(row["label"], row["iterations"]) for row in payload] == [
-        ("rk", [0, 0]), ("band", [0, 0])]
+    assert [(row["label"], row["iterations"], row["failures"]) for row in payload] == [
+        ("rk", [0, 0], [None, None]), ("band", [0, 0], [None, None])]
