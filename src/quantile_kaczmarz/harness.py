@@ -26,8 +26,8 @@ import statistics
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import ClassVar
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 import scipy
@@ -99,6 +99,8 @@ class ExperimentSpec:
         object.__setattr__(self, "outputs", tuple(self.outputs))
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.record_every < 1:
+            raise ValueError("record_every must be >= 1")
         labels = [run.label for run in self.runs]
         if len(set(labels)) != len(labels):
             raise ValueError("run labels must be unique")

@@ -129,6 +129,11 @@ class TestRunExperiment:
             errs = [r.sq_error for r in trace.records]
             assert all(b <= a + 1e-12 for a, b in zip(errs, errs[1:]))
 
+    def test_record_every_must_be_positive(self):
+        # rejected up front, for time_to_threshold too, which records nothing
+        with pytest.raises(ValueError):
+            small_spec(record_every=0)
+
     def test_labels_must_be_unique(self):
         with pytest.raises(ValueError):
             small_spec(runs=(
