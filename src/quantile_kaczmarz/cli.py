@@ -209,7 +209,6 @@ def _cmd_threshold(args) -> int:
     for r in results:
         med = "n/a" if r.median_iterations is None else f"{r.median_iterations:.0f}"
         print(f"{r.label}: reached {r.reached_fraction:.0%}, median iterations {med}")
-    for r in results:
         for trial, message in enumerate(r.failures):
             if message is not None:
                 print(f"{r.label} trial {trial}: FAILED {message}", file=sys.stderr)
