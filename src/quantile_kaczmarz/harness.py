@@ -153,7 +153,11 @@ def run_experiment(spec: ExperimentSpec, record: bool = True) -> ExperimentResul
     solves share the machine, so the times measure one solve alone only when
     the pairs run serially.
     """
-    systems = [generate_system(problem_for_trial(spec, t)) for t in range(spec.trials)]
+    if spec.fresh_problem_per_trial:
+        systems = [generate_system(problem_for_trial(spec, t)) for t in range(spec.trials)]
+    else:
+        # every trial has the same problem seeds; solve never writes to A or b
+        systems = [generate_system(problem_for_trial(spec, 0))] * spec.trials
 
     jobs = [(run, trial) for trial in range(spec.trials) for run in spec.runs]
     seeds = {(run.label, trial): derive_seed(spec.seed, run.label, trial)
@@ -397,23 +401,6 @@ def _cell(value) -> str:
     return str(value)
 
 
-def trajectory_rows(result: ExperimentResult):
-    """Flattened per-record rows sorted by (label, trial, iteration)."""
-    for label, trial in sorted(result.traces):
-        trace = result.traces[(label, trial)]
-        for rec in trace.records:
-            yield {
-                "label": label,
-                "trial": trial,
-                "iteration": rec.iteration,
-                "squared_error": rec.sq_error,
-                "residual_norm": rec.residual_norm,
-                "chosen_row": rec.row,
-                "Q0": rec.q0_value,
-                "Q1": rec.q1_value,
-            }
-
-
 TRAJECTORY_COLUMNS = ["label", "trial", "iteration", "squared_error",
                       "residual_norm", "chosen_row", "Q0", "Q1"]
 
@@ -427,8 +414,22 @@ def _csv_text(header, rows) -> str:
 
 
 def write_trajectory_csv(result: ExperimentResult, path) -> None:
-    rows = ([row[c] for c in TRAJECTORY_COLUMNS] for row in trajectory_rows(result))
-    atomic_write_text(path, _csv_text(TRAJECTORY_COLUMNS, rows))
+    """One row per trace record, sorted by (label, trial, iteration).
+
+    Every column holds a str, an int, a float or None, and ``csv.writer``
+    itself writes those as ``_cell`` does: floats as shortest round-trip
+    decimals, ints by ``str``, None as an empty cell. So the records go to it
+    as they are, with no per-cell Python call.
+    """
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(TRAJECTORY_COLUMNS)
+    for label, trial in sorted(result.traces):
+        writer.writerows(
+            (label, trial, rec.iteration, rec.sq_error, rec.residual_norm,
+             rec.row, rec.q0_value, rec.q1_value)
+            for rec in result.traces[(label, trial)].records)
+    atomic_write_text(path, buf.getvalue())
 
 
 def write_table(rows, row_type, path, fmt: str = "csv") -> None:

@@ -21,6 +21,7 @@ config) pair replays bit-identically.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -330,6 +331,10 @@ def solve(
     every random selector consumes exactly one uniform per iteration, so the
     stream does not depend on what is recorded.
 
+    A record's residual norm comes from the same ``A x - b`` the next
+    iteration selects with, so a recorded iteration costs one matvec, the
+    same as an unrecorded quantile iteration.
+
     Recoverable selection failures (an empty admissible set) terminate the
     solve and are reported in ``termination``; precondition violations such
     as zero rows raise.
@@ -371,14 +376,26 @@ def solve(
     stop_on_res_norm = stop is not None and stop.residual_norm is not None
     res_every_iter = not isinstance(kind, RK) or stop_on_res_norm
 
+    def residual(xv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        rv = a @ xv - b
+        return rv, np.abs(rv) * inv_norms
+
+    def norm(v: np.ndarray) -> float:
+        # np.linalg.norm of a 1-D float vector is sqrt(v.dot(v)), bit for bit
+        return math.sqrt(v.dot(v))
+
+    # The residual r = A x - b of the current iterate, its normalized form
+    # nres and the norm of nres, each computed at most once per iterate: a
+    # record fills them for the new x and the next selection reuses them.
+    r = nres = res_norm = None
+
     records: list[TraceRecord] = []
     sq_err = system.sq_error(x) if gt is not None else None
 
-    def residual_norm_at(xv: np.ndarray) -> float:
-        return float(np.linalg.norm(np.abs(a @ xv - b) * inv_norms))
-
     if record:
-        records.append(TraceRecord(0, None, None, None, sq_err, residual_norm_at(x)))
+        r, nres = residual(x)
+        res_norm = norm(nres)
+        records.append(TraceRecord(0, None, None, None, sq_err, res_norm))
 
     termination = "max_iters"
     iterations = 0
@@ -389,15 +406,16 @@ def solve(
     else:
         for k in range(1, config.max_iters + 1):
             will_record = record and (k % record_every == 0 or k == config.max_iters)
-            r = None
-            nres = None
-            if res_every_iter or will_record:
-                r = a @ x - b
-                nres = np.abs(r) * inv_norms
+            needs_res = res_every_iter or will_record
+            if needs_res and r is None:
+                r, nres = residual(x)
 
-            if stop_on_res_norm and float(np.linalg.norm(nres)) <= stop.residual_norm:
-                termination = "residual_norm"
-                break
+            if stop_on_res_norm:
+                if res_norm is None:
+                    res_norm = norm(nres)
+                if res_norm <= stop.residual_norm:
+                    termination = "residual_norm"
+                    break
 
             try:
                 i, low, high = select_row(kind, nres, sq_norms, cum_sq_norms, rng)
@@ -405,10 +423,14 @@ def solve(
                 termination = f"error: {exc}"
                 break
 
-            if r is not None:
+            # when this iteration needs no residual, RK steps by the row's own
+            # dot product even if a record left r behind: the matvec's entry i
+            # can differ from it in the last bit
+            if needs_res:
                 x = x - (r[i] / sq_norms[i]) * a[i]
             else:
                 x = x + ((b[i] - a[i] @ x) / sq_norms[i]) * a[i]
+            r = nres = res_norm = None
             iterations = k
 
             if gt is not None:
@@ -421,17 +443,20 @@ def solve(
                 and sq_err <= stop.target_sq_error
             )
             if record and (will_record or reached_target):
-                records.append(TraceRecord(k, i, low, high, sq_err, residual_norm_at(x)))
+                r, nres = residual(x)
+                res_norm = norm(nres)
+                records.append(TraceRecord(k, i, low, high, sq_err, res_norm))
             if reached_target:
                 termination = "target_sq_error"
                 break
 
     # terminations that break before stepping can leave the last iterate
-    # unrecorded; close the trace so it always ends at final_x
+    # unrecorded; close the trace so it always ends at final_x. Such a break
+    # comes after the top of its iteration computed nres for this x.
     if record and records[-1].iteration != iterations:
-        records.append(TraceRecord(iterations, None, None, None,
-                                   system.sq_error(x) if gt is not None else None,
-                                   residual_norm_at(x)))
+        if res_norm is None:
+            res_norm = norm(nres)
+        records.append(TraceRecord(iterations, None, None, None, sq_err, res_norm))
 
     return SolveTrace(
         records=tuple(records),

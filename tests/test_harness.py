@@ -1,22 +1,28 @@
 import csv
+import io
 import json
+import statistics
+import time
 
 import numpy as np
 import pytest
 
 from quantile_kaczmarz import (
     DQRK,
+    DenseSystem,
     ExperimentSpec,
     Motzkin,
     QRK,
     RK,
     RQRK,
     RunSpec,
+    SolverConfig,
     StopRule,
     cost_parity_benchmark,
     derive_seed,
     diagnostic_report,
     emit_artifacts,
+    generate_system,
     run_experiment,
     save_matrix_market,
     solve,
@@ -26,9 +32,11 @@ from quantile_kaczmarz import (
 )
 from quantile_kaczmarz import harness
 from quantile_kaczmarz.harness import (
+    TRAJECTORY_COLUMNS,
     BenchRow,
     DiagnosticRow,
     ThresholdResult,
+    _cell,
     problem_for_trial,
     summary_dict,
     write_table,
@@ -49,6 +57,21 @@ def small_spec(**overrides):
     )
     base.update(overrides)
     return ExperimentSpec(**base)
+
+
+def cell_trajectory_csv(result) -> bytes:
+    """Reference trajectory writer: one dict per record, every cell through
+    ``_cell``. ``write_trajectory_csv`` must match it byte for byte."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(TRAJECTORY_COLUMNS)
+    for label, trial in sorted(result.traces):
+        for rec in result.traces[(label, trial)].records:
+            row = {"label": label, "trial": trial, "iteration": rec.iteration,
+                   "squared_error": rec.sq_error, "residual_norm": rec.residual_norm,
+                   "chosen_row": rec.row, "Q0": rec.q0_value, "Q1": rec.q1_value}
+            writer.writerow([_cell(row[c]) for c in TRAJECTORY_COLUMNS])
+    return buf.getvalue().encode()
 
 
 class TestSeedDerivation:
@@ -95,6 +118,29 @@ class TestRunExperiment:
         p0a = problem_for_trial(spec, 0)
         assert p0a == problem_for_trial(spec, 0)
         assert p0a != problem_for_trial(spec, 1)
+
+    @pytest.mark.parametrize("fresh, built", [(True, 3), (False, 1)])
+    def test_shared_problem_built_once(self, monkeypatch, fresh, built):
+        calls = []
+
+        def spy(problem):
+            calls.append(problem)
+            return generate_system(problem)
+
+        monkeypatch.setattr(harness, "generate_system", spy)
+        spec = small_spec(trials=3, fresh_problem_per_trial=fresh, runs=(
+            RunSpec(label="rk", selector=RK(), max_iters=8),
+            RunSpec(label="dqrk", selector=DQRK(0.3, 0.8), max_iters=8),
+        ))
+        result = run_experiment(spec)
+        assert len(calls) == built
+        # each trace is the solve of that trial's own freshly built system
+        for (label, trial), trace in result.traces.items():
+            run = next(run for run in spec.runs if run.label == label)
+            alone = solve(generate_system(problem_for_trial(spec, trial)), SolverConfig(
+                run.selector, run.max_iters, seed=result.seeds[(label, trial)]))
+            assert trace.records == alone.records
+            assert trace.final_x.tobytes() == alone.final_x.tobytes()
 
     def test_failures_recorded_without_aborting(self):
         spec = small_spec(runs=(
@@ -156,6 +202,32 @@ class TestArtifacts:
         assert first["iteration"] == "0"
         assert first["chosen_row"] == ""   # not a zero
         assert first["Q0"] == "" and first["Q1"] == ""
+
+    @pytest.mark.parametrize("planted", [True, False])
+    def test_trajectory_matches_cell_writer(self, tmp_path, monkeypatch, planted):
+        if not planted:  # no ground truth: every squared_error cell is empty
+            def without_truth(problem):
+                system = generate_system(problem)
+                return DenseSystem(system.A, system.b)
+            monkeypatch.setattr(harness, "generate_system", without_truth)
+        spec = small_spec(trials=2, record_every=3, runs=(
+            RunSpec(label='rk, "plain"', selector=RK(), max_iters=10),
+            RunSpec(label="motzkin", selector=Motzkin(), max_iters=7),
+            RunSpec(label="q,rk", selector=QRK(0.7), max_iters=9),
+            RunSpec(label='d"q"rk', selector=DQRK(0.3, 0.8), max_iters=8),
+            RunSpec(label="bad", selector=RQRK(0.01), max_iters=5),  # fails: 0.01*30 < 1
+        ))
+        result = run_experiment(spec)
+        assert set(result.failures) == {("bad", 0), ("bad", 1)}
+        out = tmp_path / "trajectory.csv"
+        write_trajectory_csv(result, out)
+        text = out.read_bytes()
+        assert text == cell_trajectory_csv(result)
+        assert b'"rk, ""plain"""' in text and b'"q,rk"' in text
+        rows = list(csv.DictReader(io.StringIO(text.decode())))
+        assert all((row["squared_error"] == "") == (not planted) for row in rows)
+        assert any(row["label"] == "motzkin" and row["chosen_row"] and row["Q1"] == ""
+                   for row in rows)
 
     def test_csv_floats_roundtrip(self, tmp_path):
         result = run_experiment(small_spec())
@@ -274,15 +346,22 @@ class TestBench:
         assert all(len(row.seconds) == 3 for row in report.rows)
 
     def test_wall_clock_roughly_linear_in_iterations(self):
-        problem = ProblemSpec(source=GeneratedSource("uniform", 800, 80, seed=14),
-                              normalize=True, solution_seed=15)
-
-        def bench(iters):
-            runs = [RunSpec(label="qrk", selector=QRK(0.8), max_iters=iters)]
-            return cost_parity_benchmark(problem, runs, iters=iters,
-                                         repeats=5, seed=2).seconds("qrk")
-
-        ratio = bench(2000) / bench(1000)
+        # Both lengths get one warmup, then their repeats go round-robin, as
+        # in cost_parity_benchmark, so a drift in host speed hits both alike
+        # instead of showing up in the ratio.
+        system = generate_system(ProblemSpec(source=GeneratedSource("uniform", 800, 80, seed=14),
+                                             normalize=True, solution_seed=15))
+        configs = {iters: SolverConfig(QRK(0.8), max_iters=iters, seed=derive_seed(2, "qrk", 0))
+                   for iters in (1000, 2000)}
+        times = {iters: [] for iters in configs}
+        for config in configs.values():
+            solve(system, config, record=False)
+        for _ in range(5):
+            for iters, config in configs.items():
+                start = time.perf_counter()
+                solve(system, config, record=False)
+                times[iters].append(time.perf_counter() - start)
+        ratio = statistics.median(times[2000]) / statistics.median(times[1000])
         assert 1.5 <= ratio <= 2.5
 
 

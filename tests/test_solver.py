@@ -1,5 +1,10 @@
+import dataclasses
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from quantile_kaczmarz import (
     AllZeroWeightsError,
@@ -14,6 +19,7 @@ from quantile_kaczmarz import (
     QRK,
     RK,
     RQRK,
+    SolveTrace,
     SolverConfig,
     StopRule,
     ZeroRowError,
@@ -25,7 +31,9 @@ from quantile_kaczmarz import (
     subset_sigma_min,
     weighted_sample,
 )
+from quantile_kaczmarz.linalg import row_norms
 from quantile_kaczmarz.problems import CorruptionSpec, GeneratedSource, ProblemSpec
+from quantile_kaczmarz.solver import TraceRecord
 
 from conftest import step_from
 
@@ -43,6 +51,95 @@ def consistent_system(m, n, seed, normalize=True):
 
 
 ALL_SELECTORS = [RK(), QRK(0.7), RQRK(0.5), DQRK(0.3, 0.8), Motzkin()]
+
+
+def two_matvec_solve(system, config, record_every=1, record=True):
+    """Reference recorded loop with two matvecs per recorded iteration.
+
+    It computes ``A x - b`` for a record after each step and again, for the
+    same x, at the top of the next iteration. ``solve``, which computes it
+    once, must match it bit for bit in every record, the final iterate, the
+    iteration count and the termination.
+    """
+    a, b = system.A, system.b
+    m, n = a.shape
+    norms, _ = row_norms(a)
+    inv_norms = 1.0 / norms
+    sq_norms = norms * norms
+    cum_sq_norms = np.cumsum(sq_norms)
+    kind = config.selector
+    if isinstance(kind, RQRK):
+        kind.validate_for(m)
+    gt = system.ground_truth
+    stop = config.stop
+    rng = np.random.Generator(np.random.PCG64(config.seed))
+    if isinstance(config.x0, OnHyperplane):
+        row0 = config.x0.row if config.x0.row is not None else int(rng.integers(m))
+        x = (b[row0] / sq_norms[row0]) * a[row0]
+    else:
+        x = np.zeros(n)
+    stop_on_res_norm = stop is not None and stop.residual_norm is not None
+    res_every_iter = not isinstance(kind, RK) or stop_on_res_norm
+
+    def residual_norm_at(xv):
+        return float(np.linalg.norm(np.abs(a @ xv - b) * inv_norms))
+
+    records = []
+    sq_err = system.sq_error(x) if gt is not None else None
+    if record:
+        records.append(TraceRecord(0, None, None, None, sq_err, residual_norm_at(x)))
+    termination = "max_iters"
+    iterations = 0
+    if stop is not None and stop.target_sq_error is not None and sq_err is not None \
+            and sq_err <= stop.target_sq_error:
+        termination = "target_sq_error"
+    else:
+        for k in range(1, config.max_iters + 1):
+            will_record = record and (k % record_every == 0 or k == config.max_iters)
+            r = None
+            nres = None
+            if res_every_iter or will_record:
+                r = a @ x - b
+                nres = np.abs(r) * inv_norms
+            if stop_on_res_norm and float(np.linalg.norm(nres)) <= stop.residual_norm:
+                termination = "residual_norm"
+                break
+            try:
+                i, low, high = select_row(kind, nres, sq_norms, cum_sq_norms, rng)
+            except (EmptyAdmissibleSetError, InvalidQuantilesError) as exc:
+                termination = f"error: {exc}"
+                break
+            if r is not None:
+                x = x - (r[i] / sq_norms[i]) * a[i]
+            else:
+                x = x + ((b[i] - a[i] @ x) / sq_norms[i]) * a[i]
+            iterations = k
+            if gt is not None:
+                sq_err = system.sq_error(x)
+            reached_target = (stop is not None and stop.target_sq_error is not None
+                              and sq_err is not None and sq_err <= stop.target_sq_error)
+            if record and (will_record or reached_target):
+                records.append(TraceRecord(k, i, low, high, sq_err, residual_norm_at(x)))
+            if reached_target:
+                termination = "target_sq_error"
+                break
+    if record and records[-1].iteration != iterations:
+        records.append(TraceRecord(iterations, None, None, None,
+                                   system.sq_error(x) if gt is not None else None,
+                                   residual_norm_at(x)))
+    return SolveTrace(records=tuple(records), final_x=x, iterations=iterations,
+                      termination=termination, seed=config.seed)
+
+
+def float_bits(value):
+    """A record field with floats replaced by their IEEE bit patterns."""
+    return struct.pack("<d", value) if isinstance(value, float) else value
+
+
+def trace_bits(trace):
+    return ([tuple(float_bits(getattr(rec, f.name)) for f in dataclasses.fields(rec))
+             for rec in trace.records],
+            trace.final_x.tobytes(), trace.iterations, trace.termination)
 
 
 class TestSelectorKinds:
@@ -278,6 +375,79 @@ class TestSolve:
         system = consistent_system(100, 8, seed=42)
         trace = solve(system, SolverConfig(selector=RQRK(0.8), max_iters=3000, seed=11))
         assert system.sq_error(trace.final_x) < 1e-12
+
+
+# DQRK(0.3, 0.35) has an empty band when round(0.3 m) == round(0.35 m), as
+# for m = 4, so its solves end on an "error:" termination.
+DIFFERENTIAL_SELECTORS = ALL_SELECTORS + [DQRK(0.3, 0.35)]
+
+
+class TestCarriedResidual:
+    """``solve`` reuses a record's residual for the next selection."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        m=st.integers(4, 24),
+        n=st.integers(2, 6),
+        seed=st.integers(0, 2**16),
+        normalize=st.booleans(),
+        planted=st.booleans(),
+        kind=st.sampled_from(DIFFERENTIAL_SELECTORS),
+        x0=st.sampled_from([Origin(), OnHyperplane(), OnHyperplane(row=1)]),
+        record_every=st.sampled_from([1, 2, 3, 7]),
+        record=st.booleans(),
+        stop_kind=st.sampled_from([None, "target_sq_error", "residual_norm"]),
+        stop_fraction=st.floats(0.0, 1.2),
+        max_iters=st.integers(0, 60),
+    )
+    @example(m=4, n=2, seed=0, normalize=True, planted=True, kind=DQRK(0.3, 0.35),
+             x0=Origin(), record_every=7, record=True, stop_kind=None,
+             stop_fraction=0.0, max_iters=20)
+    @example(m=12, n=3, seed=1, normalize=True, planted=True, kind=Motzkin(),
+             x0=Origin(), record_every=7, record=True, stop_kind="residual_norm",
+             stop_fraction=0.5, max_iters=60)
+    def test_matches_two_matvec_loop(self, m, n, seed, normalize, planted, kind, x0,
+                                     record_every, record, stop_kind, stop_fraction,
+                                     max_iters):
+        n = min(n, m - 1)  # generated systems are over-determined
+        if isinstance(kind, RQRK) and not 1 <= kind.q * m <= m - 1:
+            kind = RQRK(0.5)
+        system = generate_system(ProblemSpec(
+            source=GeneratedSource("gaussian", m, n, seed=seed), normalize=normalize,
+            corruption=CorruptionSpec(beta=0.25, seed=seed + 1), solution_seed=seed + 2))
+        if not planted:
+            system = DenseSystem(system.A, system.b)
+            if stop_kind == "target_sq_error":
+                stop_kind = "residual_norm"
+        start = solve(system, SolverConfig(kind, 0, seed=seed, x0=x0)).records[0]
+        stop = None
+        if stop_kind == "target_sq_error":
+            stop = StopRule(target_sq_error=stop_fraction * start.sq_error)
+        elif stop_kind == "residual_norm":
+            stop = StopRule(residual_norm=stop_fraction * start.residual_norm)
+        config = SolverConfig(kind, max_iters, seed=seed, x0=x0, stop=stop)
+        got = solve(system, config, record_every=record_every, record=record)
+        want = two_matvec_solve(system, config, record_every=record_every, record=record)
+        assert trace_bits(got) == trace_bits(want)
+
+    def test_error_termination_closes_the_trace(self):
+        system = consistent_system(4, 2, seed=0)
+        config = SolverConfig(DQRK(0.3, 0.35), 20, seed=3)
+        trace = solve(system, config, record_every=7)
+        assert trace.termination.startswith("error:")
+        assert trace_bits(trace) == trace_bits(
+            two_matvec_solve(system, config, record_every=7))
+
+    def test_residual_norm_stop_closes_the_trace_between_records(self):
+        system = consistent_system(30, 4, seed=39)
+        config = SolverConfig(Motzkin(), 5000, seed=7, stop=StopRule(residual_norm=1e-6))
+        trace = solve(system, config, record_every=5)
+        assert trace.termination == "residual_norm"
+        assert trace.iterations % 5 != 0
+        assert trace.records[-1].iteration == trace.iterations
+        assert trace.records[-1].row is None
+        assert trace_bits(trace) == trace_bits(
+            two_matvec_solve(system, config, record_every=5))
 
 
 class TestContractionAgainstTheory:
