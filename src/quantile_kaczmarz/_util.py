@@ -4,19 +4,28 @@ from __future__ import annotations
 
 import os
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
 
 
-def atomic_write_text(path, text: str) -> None:
-    """Write a file via a same-directory temp file and rename."""
+@contextmanager
+def atomic_writer(path):
+    """A text file open on a same-directory temp file, renamed onto ``path``
+    when the block exits cleanly and removed when it raises."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_write_text(path, text: str) -> None:
+    """Write a file via a same-directory temp file and rename."""
+    with atomic_writer(path) as fh:
+        fh.write(text)

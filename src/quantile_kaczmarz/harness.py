@@ -32,7 +32,7 @@ from typing import ClassVar
 import numpy as np
 import scipy
 
-from ._util import atomic_write_text
+from ._util import atomic_write_text, atomic_writer
 from ._version import __version__
 from .bounds import robustness_diagnostic
 from .errors import QuantileKaczmarzError
@@ -419,17 +419,17 @@ def write_trajectory_csv(result: ExperimentResult, path) -> None:
     Every column holds a str, an int, a float or None, and ``csv.writer``
     itself writes those as ``_cell`` does: floats as shortest round-trip
     decimals, ints by ``str``, None as an empty cell. So the records go to it
-    as they are, with no per-cell Python call.
+    as they are, with no per-cell Python call, and it writes them straight to
+    the file, so the table is never held in memory as one string.
     """
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(TRAJECTORY_COLUMNS)
-    for label, trial in sorted(result.traces):
-        writer.writerows(
-            (label, trial, rec.iteration, rec.sq_error, rec.residual_norm,
-             rec.row, rec.q0_value, rec.q1_value)
-            for rec in result.traces[(label, trial)].records)
-    atomic_write_text(path, buf.getvalue())
+    with atomic_writer(path) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(TRAJECTORY_COLUMNS)
+        for label, trial in sorted(result.traces):
+            writer.writerows(
+                (label, trial, rec.iteration, rec.sq_error, rec.residual_norm,
+                 rec.row, rec.q0_value, rec.q1_value)
+                for rec in result.traces[(label, trial)].records)
 
 
 def write_table(rows, row_type, path, fmt: str = "csv") -> None:

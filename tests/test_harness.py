@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import statistics
@@ -228,6 +229,18 @@ class TestArtifacts:
         assert all((row["squared_error"] == "") == (not planted) for row in rows)
         assert any(row["label"] == "motzkin" and row["chosen_row"] and row["Q1"] == ""
                    for row in rows)
+
+    def test_failed_trajectory_write_keeps_previous_file(self, tmp_path):
+        result = run_experiment(small_spec(trials=2))
+        path = tmp_path / "trajectory.csv"
+        path.write_text("previous\n")
+        trace = result.traces[("rk", 1)]
+        # the last trace breaks after the rows before it went to the temp file
+        result.traces[("rk", 1)] = dataclasses.replace(trace, records=trace.records + (None,))
+        with pytest.raises(AttributeError):
+            write_trajectory_csv(result, path)
+        assert path.read_text() == "previous\n"
+        assert [f.name for f in tmp_path.iterdir()] == ["trajectory.csv"]
 
     def test_csv_floats_roundtrip(self, tmp_path):
         result = run_experiment(small_spec())
