@@ -3,7 +3,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quantile_kaczmarz import (
@@ -400,12 +400,6 @@ class TestCarriedResidual:
         stop_fraction=st.floats(0.0, 1.2),
         max_iters=st.integers(0, 60),
     )
-    @example(m=4, n=2, seed=0, normalize=True, planted=True, kind=DQRK(0.3, 0.35),
-             x0=Origin(), record_every=7, record=True, stop_kind=None,
-             stop_fraction=0.0, max_iters=20)
-    @example(m=12, n=3, seed=1, normalize=True, planted=True, kind=Motzkin(),
-             x0=Origin(), record_every=7, record=True, stop_kind="residual_norm",
-             stop_fraction=0.5, max_iters=60)
     def test_matches_two_matvec_loop(self, m, n, seed, normalize, planted, kind, x0,
                                      record_every, record, stop_kind, stop_fraction,
                                      max_iters):
@@ -430,7 +424,9 @@ class TestCarriedResidual:
         want = two_matvec_solve(system, config, record_every=record_every, record=record)
         assert trace_bits(got) == trace_bits(want)
 
-    def test_error_termination_closes_the_trace(self):
+    def test_error_termination_matches_two_matvec_loop(self):
+        # the band is empty for every iterate, so the solve stops before
+        # its first step and the initial record is also the last
         system = consistent_system(4, 2, seed=0)
         config = SolverConfig(DQRK(0.3, 0.35), 20, seed=3)
         trace = solve(system, config, record_every=7)
