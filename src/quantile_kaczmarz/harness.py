@@ -19,12 +19,10 @@ from __future__ import annotations
 import csv
 import dataclasses
 import hashlib
-import io
 import json
 import platform
 import statistics
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import ClassVar
@@ -80,9 +78,6 @@ class RunSpec:
     x0: X0Policy = field(default_factory=Origin)
 
 
-ARTIFACT_KINDS = ("trajectory", "summary")
-
-
 @dataclass(frozen=True)
 class ExperimentSpec:
     problem: ProblemSpec
@@ -91,12 +86,9 @@ class ExperimentSpec:
     seed: int = 0
     record_every: int = 1
     fresh_problem_per_trial: bool = True
-    workers: int = 1
-    outputs: tuple[str, ...] = ARTIFACT_KINDS
 
     def __post_init__(self):
         object.__setattr__(self, "runs", tuple(self.runs))
-        object.__setattr__(self, "outputs", tuple(self.outputs))
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.record_every < 1:
@@ -106,9 +98,6 @@ class ExperimentSpec:
             raise ValueError("run labels must be unique")
         if not self.runs:
             raise ValueError("at least one run is required")
-        unknown = set(self.outputs) - set(ARTIFACT_KINDS)
-        if unknown:
-            raise ValueError(f"unknown artifact kinds {sorted(unknown)}")
 
 
 def problem_for_trial(spec: ExperimentSpec, trial: int) -> ProblemSpec:
@@ -147,49 +136,28 @@ class ExperimentResult:
 
 
 def run_experiment(spec: ExperimentSpec, record: bool = True) -> ExperimentResult:
-    """Solve every (run, trial) pair; per-run failures do not abort the rest.
-
-    ``seconds`` holds each solve's wall-clock time; with ``workers > 1`` the
-    solves share the machine, so the times measure one solve alone only when
-    the pairs run serially.
-    """
+    """Solve every (run, trial) pair, one at a time; per-run failures do not
+    abort the rest. ``seconds`` holds each solve's wall-clock time."""
     if spec.fresh_problem_per_trial:
         systems = [generate_system(problem_for_trial(spec, t)) for t in range(spec.trials)]
     else:
         # every trial has the same problem seeds; solve never writes to A or b
         systems = [generate_system(problem_for_trial(spec, 0))] * spec.trials
 
-    jobs = [(run, trial) for trial in range(spec.trials) for run in spec.runs]
-    seeds = {(run.label, trial): derive_seed(spec.seed, run.label, trial)
-             for run, trial in jobs}
-
-    def run_one(job):
-        run, trial = job
-        config = SolverConfig(
-            selector=run.selector,
-            max_iters=run.max_iters,
-            seed=seeds[(run.label, trial)],
-            x0=run.x0,
-            stop=run.stop,
-        )
-        start = time.perf_counter()
-        try:
-            trace = solve(systems[trial], config,
-                          record_every=spec.record_every, record=record)
-            error = None
-        except QuantileKaczmarzError as exc:
-            trace, error = None, f"{type(exc).__name__}: {exc}"
-        return (run.label, trial), trace, error, time.perf_counter() - start
-
-    if spec.workers > 1:
-        with ThreadPoolExecutor(max_workers=spec.workers) as pool:
-            outcomes = list(pool.map(run_one, jobs))
-    else:
-        outcomes = [run_one(job) for job in jobs]
-
-    traces = {key: trace for key, trace, err, _ in outcomes if err is None}
-    failures = {key: err for key, _, err, _ in outcomes if err is not None}
-    seconds = {key: secs for key, _, _, secs in outcomes}
+    traces, failures, seeds, seconds = {}, {}, {}, {}
+    for trial, system in enumerate(systems):
+        for run in spec.runs:
+            key = (run.label, trial)
+            seeds[key] = derive_seed(spec.seed, run.label, trial)
+            config = SolverConfig(selector=run.selector, max_iters=run.max_iters,
+                                  seed=seeds[key], x0=run.x0, stop=run.stop)
+            start = time.perf_counter()
+            try:
+                traces[key] = solve(system, config,
+                                    record_every=spec.record_every, record=record)
+            except QuantileKaczmarzError as exc:
+                failures[key] = f"{type(exc).__name__}: {exc}"
+            seconds[key] = time.perf_counter() - start
     return ExperimentResult(spec=spec, traces=traces, failures=failures, seeds=seeds,
                             seconds=seconds)
 
@@ -248,11 +216,11 @@ def time_to_threshold(spec: ExperimentSpec, threshold: float) -> list[ThresholdR
     ``threshold``, censored at the run's iteration cap.
 
     The trials are those of ``run_experiment`` with every run's stop rule
-    replaced by the threshold, solved one at a time so each is timed alone.
+    replaced by the threshold.
     """
     stop = StopRule(target_sq_error=threshold)
     result = run_experiment(dataclasses.replace(
-        spec, runs=tuple(dataclasses.replace(run, stop=stop) for run in spec.runs), workers=1),
+        spec, runs=tuple(dataclasses.replace(run, stop=stop) for run in spec.runs)),
         record=False)
     results = []
     for run in spec.runs:
@@ -324,6 +292,8 @@ def cost_parity_benchmark(
     """
     if iters < 1:
         raise ValueError("iters must be >= 1")
+    if repeats < 1:
+        raise ValueError("repeats must be >= 1")
     system = generate_system(problem)
     jobs = [(run.label, SolverConfig(selector=run.selector, max_iters=iters,
                                      seed=derive_seed(seed, run.label, 0), x0=run.x0), [])
@@ -390,38 +360,14 @@ def diagnostic_report(paths, q0: float, q1: float, beta: float) -> list[Diagnost
 # artifact emission
 
 
-def _cell(value) -> str:
-    """CSV cell: shortest round-trip decimals, empty for absent values."""
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, (np.floating,)):
-        return repr(float(value))
-    return str(value)
-
-
 TRAJECTORY_COLUMNS = ["label", "trial", "iteration", "squared_error",
                       "residual_norm", "chosen_row", "Q0", "Q1"]
-
-
-def _csv_text(header, rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows([_cell(value) for value in row] for row in rows)
-    return buf.getvalue()
 
 
 def write_trajectory_csv(result: ExperimentResult, path) -> None:
     """One row per trace record, sorted by (label, trial, iteration).
 
-    Every column holds a str, an int, a float or None, and ``csv.writer``
-    itself writes those as ``_cell`` does: floats as shortest round-trip
-    decimals, ints by ``str``, None as an empty cell. So the records go to it
-    as they are, with no per-cell Python call, and it writes them straight to
-    the file, so the table is never held in memory as one string.
-    """
+    The records go to ``csv.writer`` as they are and stream into the file."""
     with atomic_writer(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(TRAJECTORY_COLUMNS)
@@ -438,12 +384,15 @@ def write_table(rows, row_type, path, fmt: str = "csv") -> None:
     The CSV columns are ``row_type.CSV_COLUMNS``, fields or properties
     derived from them; the JSON objects hold every field.
     """
-    if fmt == "json":
-        text = json.dumps([dataclasses.asdict(r) for r in rows], sort_keys=True, indent=2) + "\n"
-    else:
-        columns = row_type.CSV_COLUMNS
-        text = _csv_text(columns, ([getattr(r, c) for c in columns] for r in rows))
-    atomic_write_text(path, text)
+    with atomic_writer(path) as fh:
+        if fmt == "json":
+            json.dump([dataclasses.asdict(r) for r in rows], fh, sort_keys=True, indent=2)
+            fh.write("\n")
+        else:
+            columns = row_type.CSV_COLUMNS
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(columns)
+            writer.writerows([getattr(r, c) for c in columns] for r in rows)
 
 
 def _selector_dict(kind: SelectorKind) -> dict:
@@ -502,8 +451,6 @@ def spec_to_dict(spec: ExperimentSpec) -> dict:
         "trials": spec.trials,
         "record_every": spec.record_every,
         "fresh_problem_per_trial": spec.fresh_problem_per_trial,
-        "workers": spec.workers,
-        "outputs": list(spec.outputs),
         "problem": problem_dict,
         "runs": runs,
     }
@@ -557,8 +504,6 @@ def spec_from_dict(data: dict) -> ExperimentSpec:
         seed=int(data.get("seed", 0)),
         record_every=int(data.get("record_every", 1)),
         fresh_problem_per_trial=bool(data.get("fresh_problem_per_trial", True)),
-        workers=int(data.get("workers", 1)),
-        outputs=tuple(data.get("outputs", ARTIFACT_KINDS)),
     )
 
 
@@ -580,7 +525,7 @@ def summary_dict(result: ExperimentResult) -> dict:
     failures = [{"label": label, "trial": trial, "error": err}
                 for (label, trial), err in sorted(result.failures.items())]
     return {
-        "schema": "quantile-kaczmarz/experiment-summary/v1",
+        "schema": "quantile-kaczmarz/experiment-summary/v2",
         "spec": spec_to_dict(result.spec),
         "versions": {
             "quantile_kaczmarz": __version__,
@@ -598,15 +543,10 @@ def write_summary_json(result: ExperimentResult, path) -> None:
 
 
 def emit_artifacts(result: ExperimentResult, outdir) -> dict[str, Path]:
-    """Write the spec's requested artifacts into ``outdir``; returns paths."""
-    outdir = Path(outdir)
-    writers = {
-        "trajectory": (outdir / "trajectory.csv", write_trajectory_csv),
-        "summary": (outdir / "summary.json", write_summary_json),
-    }
-    paths = {}
-    for kind in result.spec.outputs:
-        path, writer = writers[kind]
-        writer(result, path)
-        paths[kind] = path
+    """Write ``trajectory.csv`` and ``summary.json`` into ``outdir``; returns
+    their paths under the keys "trajectory" and "summary"."""
+    paths = {"trajectory": Path(outdir) / "trajectory.csv",
+             "summary": Path(outdir) / "summary.json"}
+    write_trajectory_csv(result, paths["trajectory"])
+    write_summary_json(result, paths["summary"])
     return paths

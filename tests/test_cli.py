@@ -105,6 +105,25 @@ class TestExperiment:
         assert [f["label"] for f in summary["failures"]] == ["bad"]
         assert (tmp_path / "out" / "trajectory.csv").exists()
 
+    def test_retired_spec_keys_still_write_both_artifacts(self, tmp_path, capsys):
+        spec = {
+            "seed": 9,
+            "workers": 4,
+            "outputs": ["summary"],
+            "problem": {
+                "source": {"kind": "generated", "dist": "gaussian", "m": 40, "n": 5},
+                "normalize": True,
+            },
+            "runs": [{"label": "rk", "method": "rk", "iters": 30}],
+        }
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        code = run_cli("experiment", str(spec_path), "--out", str(tmp_path / "out"))
+        assert code == 0
+        assert "1 runs completed, 0 failed" in capsys.readouterr().out
+        assert sorted(f.name for f in (tmp_path / "out").iterdir()) == [
+            "summary.json", "trajectory.csv"]
+
     def test_missing_spec_file_exits_2(self, tmp_path):
         assert run_cli("experiment", str(tmp_path / "nope.json")) == 2
 

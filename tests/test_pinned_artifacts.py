@@ -46,7 +46,7 @@ PINNED_SPEC = ExperimentSpec(
 )
 
 TRAJECTORY_SHA256 = "0c00af4bce9b8d500d183cd4353cd761db34b06392ecf2a8ae4d0f0c0a62420e"
-SUMMARY_SHA256 = "6c96a9bc95e06cfba2729fa236a7cef059588cc0f87e8ef30092bfdefe085619"
+SUMMARY_SHA256 = "fedafb9092f228a615596efd5dbc9a698e1a2807057c678c05635f034ee107ee"
 
 
 def sha256(data: bytes) -> str:
