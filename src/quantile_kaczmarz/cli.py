@@ -173,12 +173,12 @@ def _cmd_diagnose(args) -> int:
     write_table(rows, DiagnosticRow, out, fmt=args.format)
     for row in rows:
         if row.error:
-            print(f"{row.matrix}: ERROR {row.error}", file=sys.stderr)
+            print(f"{row.matrix}: FAILED {row.error}", file=sys.stderr)
         else:
             print(f"{row.matrix} ({row.rows}x{row.cols}): "
                   f"sigma_loo_min={row.sigma_loo_min:.4f} E={row.diagnostic:.4f}")
     print(f"wrote {out}")
-    return 0
+    return RUNTIME_ERROR if any(row.error for row in rows) else 0
 
 
 def _cmd_bench(args) -> int:

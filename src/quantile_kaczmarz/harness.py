@@ -294,6 +294,11 @@ def cost_parity_benchmark(
         raise ValueError("iters must be >= 1")
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
+    labels = [run.label for run in runs]
+    if not labels:
+        raise ValueError("at least one run is required")
+    if len(set(labels)) != len(labels):
+        raise ValueError("run labels must be unique")
     system = generate_system(problem)
     jobs = [(run.label, SolverConfig(selector=run.selector, max_iters=iters,
                                      seed=derive_seed(seed, run.label, 0), x0=run.x0), [])

@@ -34,6 +34,25 @@ def quantile_rank(q: float, size: int) -> int:
     return min(max(round_half_up(q * size), 1), size)
 
 
+def band_ranks(m: int, q1: float, q0: float | None = None) -> tuple[int, int]:
+    """Block boundaries (k0, k1) = (round(q0*m), round(q1*m)) for m items.
+
+    k0 is 0 when q0 is absent and k1 is clamped to [1, m]. Raises
+    InvalidQuantilesError for misordered quantiles or an empty band.
+    """
+    if not 0.0 < q1 <= 1.0:
+        raise InvalidQuantilesError(f"q1 must be in (0, 1], got {q1}")
+    if q0 is not None and not 0.0 <= q0 < q1:
+        raise InvalidQuantilesError(f"need 0 <= q0 < q1 <= 1, got q0={q0}, q1={q1}")
+    k1 = quantile_rank(q1, m)
+    k0 = 0 if q0 is None else min(round_half_up(q0 * m), m)
+    if k0 >= k1:
+        raise InvalidQuantilesError(
+            f"admissible block is empty: round(q0*m)={k0}, round(q1*m)={k1} for m={m}"
+        )
+    return k0, k1
+
+
 @dataclass(frozen=True)
 class QuantilePartition:
     """A disjoint split of indices into lower / admissible / upper blocks.
@@ -57,32 +76,18 @@ def partition_two_sided(values, q1: float, q0: float | None = None) -> QuantileP
     """Partition indices by a one- or two-sided quantile band.
 
     Entries are sorted by value with the original index as tiebreaker,
-    then split by counts: |lower| = round(q0*m) (0 when q0 is absent) and
-    |lower| + |admissible| = round(q1*m). The blocks are slices of one
-    index array.
+    then split by counts at the ranks of ``band_ranks``, which raises
+    InvalidQuantilesError for a band that cannot fit m. The blocks are
+    slices of one index array.
 
     The order comes from the default argsort, which is checked for strict
     increase; on any tie or NaN the stable argsort replaces it, so the
     result is always exactly the (value, index) order.
-
-    Raises InvalidQuantilesError when the quantile ordering constraint is
-    violated or when rounding would leave the admissible block empty.
     """
     v = np.asarray(values, dtype=np.float64).ravel()
-    m = v.size
-    if m == 0:
+    if v.size == 0:
         raise EmptyInputError("partition_two_sided needs at least one value")
-    if not 0.0 < q1 <= 1.0:
-        raise InvalidQuantilesError(f"q1 must be in (0, 1], got {q1}")
-    if q0 is not None and not 0.0 <= q0 < q1:
-        raise InvalidQuantilesError(f"need 0 <= q0 < q1 <= 1, got q0={q0}, q1={q1}")
-
-    k1 = quantile_rank(q1, m)
-    k0 = 0 if q0 is None else min(round_half_up(q0 * m), m)
-    if k0 >= k1:
-        raise InvalidQuantilesError(
-            f"admissible block is empty: round(q0*m)={k0}, round(q1*m)={k1} for m={m}"
-        )
+    k0, k1 = band_ranks(v.size, q1, q0)
 
     order = np.argsort(v)
     ranked = v[order]

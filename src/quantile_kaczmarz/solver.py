@@ -34,7 +34,7 @@ from .errors import (
     ZeroRowError,
 )
 from .linalg import ZERO_ROW_TOL, as_matrix, as_vector, row_norms
-from .quantiles import partition_two_sided
+from .quantiles import band_ranks, partition_two_sided
 
 # --------------------------------------------------------------------------
 # selection strategies
@@ -92,6 +92,10 @@ class DQRK:
             raise InvalidQuantilesError(
                 f"dqrk needs 0 < q0 < q1 <= 1, got q0={self.q0}, q1={self.q1}"
             )
+
+    def validate_for(self, m: int) -> None:
+        # the band holds round(q1*m) - round(q0*m) rows, none for some m
+        band_ranks(m, self.q1, self.q0)
 
 
 @dataclass(frozen=True)
@@ -335,9 +339,11 @@ def solve(
     iteration selects with, so a recorded iteration costs one matvec, the
     same as an unrecorded quantile iteration.
 
-    Recoverable selection failures (an empty admissible set) terminate the
-    solve and are reported in ``termination``; precondition violations such
-    as zero rows raise.
+    Preconditions raise before the first record: zero rows, an rqrk
+    quantile or a dqrk band that does not fit m, a ``target_sq_error`` stop
+    without ground truth and an x0 row outside the matrix. Once they hold,
+    no row selection can fail, and ``termination`` is "max_iters",
+    "target_sq_error" or "residual_norm".
     """
     a, b = system.A, system.b
     m, n = a.shape
@@ -353,12 +359,13 @@ def solve(
     cum_sq_norms = np.cumsum(sq_norms)
 
     kind = config.selector
-    if isinstance(kind, RQRK):
+    if isinstance(kind, (RQRK, DQRK)):
         kind.validate_for(m)
 
     gt = system.ground_truth
-    stop = config.stop
-    if stop is not None and stop.target_sq_error is not None and gt is None:
+    stop = config.stop or StopRule()
+    target, res_stop = stop.target_sq_error, stop.residual_norm
+    if target is not None and gt is None:
         raise ValueError("target_sq_error stop rule needs ground truth")
 
     rng = np.random.Generator(np.random.PCG64(config.seed))
@@ -373,8 +380,7 @@ def solve(
 
     # RK does not need residuals to pick a row; compute them only when a
     # trace record or a residual-based stop rule demands it.
-    stop_on_res_norm = stop is not None and stop.residual_norm is not None
-    res_every_iter = not isinstance(kind, RK) or stop_on_res_norm
+    res_every_iter = not isinstance(kind, RK) or res_stop is not None
 
     def residual(xv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         rv = a @ xv - b
@@ -400,8 +406,7 @@ def solve(
     termination = "max_iters"
     iterations = 0
 
-    if stop is not None and stop.target_sq_error is not None and sq_err is not None \
-            and sq_err <= stop.target_sq_error:
+    if target is not None and sq_err <= target:
         termination = "target_sq_error"
     else:
         for k in range(1, config.max_iters + 1):
@@ -410,18 +415,14 @@ def solve(
             if needs_res and r is None:
                 r, nres = residual(x)
 
-            if stop_on_res_norm:
+            if res_stop is not None:
                 if res_norm is None:
                     res_norm = norm(nres)
-                if res_norm <= stop.residual_norm:
+                if res_norm <= res_stop:
                     termination = "residual_norm"
                     break
 
-            try:
-                i, low, high = select_row(kind, nres, sq_norms, cum_sq_norms, rng)
-            except (EmptyAdmissibleSetError, InvalidQuantilesError) as exc:
-                termination = f"error: {exc}"
-                break
+            i, low, high = select_row(kind, nres, sq_norms, cum_sq_norms, rng)
 
             # when this iteration needs no residual, RK steps by the row's own
             # dot product even if a record left r behind: the matvec's entry i
@@ -436,12 +437,7 @@ def solve(
             if gt is not None:
                 sq_err = system.sq_error(x)
 
-            reached_target = (
-                stop is not None
-                and stop.target_sq_error is not None
-                and sq_err is not None
-                and sq_err <= stop.target_sq_error
-            )
+            reached_target = target is not None and sq_err <= target
             if record and (will_record or reached_target):
                 r, nres = residual(x)
                 res_norm = norm(nres)
@@ -450,12 +446,10 @@ def solve(
                 termination = "target_sq_error"
                 break
 
-    # terminations that break before stepping can leave the last iterate
-    # unrecorded; close the trace so it always ends at final_x. Such a break
-    # comes after the top of its iteration computed nres for this x.
+    # a residual_norm stop breaks before stepping and can leave the last
+    # iterate unrecorded; close the trace with the norm it compared, so the
+    # trace always ends at final_x
     if record and records[-1].iteration != iterations:
-        if res_norm is None:
-            res_norm = norm(nres)
         records.append(TraceRecord(iterations, None, None, None, sq_err, res_norm))
 
     return SolveTrace(

@@ -146,10 +146,13 @@ class TestDiagnose:
         save_matrix_market(good, np.vstack([np.eye(2), np.eye(2)]))
         code = run_cli("diagnose", str(tmp_path / "missing.mtx"), str(good),
                        "--out", str(tmp_path))
-        assert code == 0
+        assert code == 2
         captured = capsys.readouterr()
-        assert "ERROR" in captured.err
+        assert "missing: FAILED FileNotFoundError" in captured.err
         assert "ok (" in captured.out
+        with open(tmp_path / "diagnostics.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["matrix"] for r in rows] == ["missing", "ok"]
 
 
 class TestBenchAndThreshold:
@@ -213,3 +216,76 @@ class TestBenchAndThreshold:
         assert table["rqrk"]["iterations"] == [None, None]
         assert all(e.startswith("InvalidQuantilesError: rqrk needs 1/m <= q")
                    for e in table["rqrk"]["failures"])
+
+
+class TestEmptyBand:
+    """A dqrk band that holds no row of m fails like an out-of-range rqrk q.
+
+    DQRK(0.3, 0.35) on 4 rows has round(0.3*4) == round(0.35*4) == 1.
+    """
+
+    PROBLEM = {"source": {"kind": "generated", "dist": "gaussian", "m": 4, "n": 2}}
+    RUNS = [{"label": "band", "method": "dqrk", "q0": 0.3, "q1": 0.35, "iters": 20}]
+    FAILED = "FAILED InvalidQuantilesError: admissible block is empty"
+
+    def spec_path(self, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"seed": 1, "trials": 2, "problem": self.PROBLEM,
+                                    "runs": self.RUNS}))
+        return path
+
+    def assert_failed_artifacts(self, out, err, label):
+        assert f"{label} trial 0: {self.FAILED}" in err
+        assert f"{label} trial 1: {self.FAILED}" in err
+        summary = json.load(open(out / "summary.json"))
+        assert summary["runs"] == []
+        assert [(f["label"], f["trial"]) for f in summary["failures"]] == [
+            (label, 0), (label, 1)]
+        assert (out / "trajectory.csv").exists()
+
+    def test_solve_exits_2(self, tmp_path, capsys):
+        code = run_cli("solve", "--m", "4", "--n", "2", "--method", "dqrk",
+                       "--q0", "0.3", "--q1", "0.35", "--iters", "20", "--trials", "2",
+                       "--out", str(tmp_path))
+        assert code == 2
+        self.assert_failed_artifacts(tmp_path, capsys.readouterr().err, "dqrk")
+
+    def test_experiment_exits_2(self, tmp_path, capsys):
+        code = run_cli("experiment", str(self.spec_path(tmp_path)),
+                       "--out", str(tmp_path / "out"))
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "0 runs completed, 2 failed" in captured.out
+        self.assert_failed_artifacts(tmp_path / "out", captured.err, "band")
+
+    def test_threshold_counts_failures_not_censored(self, tmp_path, capsys):
+        code = run_cli("threshold", str(self.spec_path(tmp_path)),
+                       "--out", str(tmp_path))
+        assert code == 2
+        assert f"band trial 1: {self.FAILED}" in capsys.readouterr().err
+        with open(tmp_path / "threshold.csv") as fh:
+            (row,) = csv.DictReader(fh)
+        assert (row["trials"], row["failed"]) == ("2", "2")
+
+    def test_bench_exits_2_without_a_ratio(self, tmp_path, capsys):
+        code = run_cli("bench", "--m", "4", "--n", "2", "--q0", "0.3", "--q1", "0.35",
+                       "--methods", "qrk,dqrk", "--iters", "10", "--repeats", "1",
+                       "--out", str(tmp_path))
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "admissible block is empty" in captured.err
+        assert "ratio" not in captured.out
+
+
+class TestBenchMethods:
+    @pytest.mark.parametrize("methods, message", [
+        (",", "at least one run is required"),
+        ("qrk,qrk", "run labels must be unique"),
+    ])
+    def test_bad_method_list_exits_2_before_writing(self, tmp_path, capsys,
+                                                    methods, message):
+        code = run_cli("bench", "--m", "40", "--n", "4", "--methods", methods,
+                       "--iters", "10", "--repeats", "1", "--out", str(tmp_path))
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "bench.csv").exists()

@@ -385,6 +385,20 @@ class TestBench:
             cost_parity_benchmark(problem, runs, iters=5, repeats=0)
         assert calls == []
 
+    @pytest.mark.parametrize("labels, message", [
+        ((), "at least one run is required"),
+        (("qrk", "qrk"), "run labels must be unique"),
+    ])
+    def test_bad_labels_rejected_before_any_solve(self, monkeypatch, labels, message):
+        calls = []
+        monkeypatch.setattr(harness, "solve", lambda *args, **kwargs: calls.append(args))
+        problem = ProblemSpec(source=GeneratedSource("uniform", 60, 6, seed=16),
+                              normalize=True, solution_seed=17)
+        runs = [RunSpec(label=label, selector=QRK(0.8), max_iters=1) for label in labels]
+        with pytest.raises(ValueError, match=message):
+            cost_parity_benchmark(problem, runs, iters=5, repeats=1)
+        assert calls == []
+
     def test_wall_clock_roughly_linear_in_iterations(self):
         # Both lengths get one warmup, then their repeats go round-robin, as
         # in cost_parity_benchmark, so a drift in host speed hits both alike

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import struct
 
 import numpy as np
@@ -104,11 +105,7 @@ def two_matvec_solve(system, config, record_every=1, record=True):
             if stop_on_res_norm and float(np.linalg.norm(nres)) <= stop.residual_norm:
                 termination = "residual_norm"
                 break
-            try:
-                i, low, high = select_row(kind, nres, sq_norms, cum_sq_norms, rng)
-            except (EmptyAdmissibleSetError, InvalidQuantilesError) as exc:
-                termination = f"error: {exc}"
-                break
+            i, low, high = select_row(kind, nres, sq_norms, cum_sq_norms, rng)
             if r is not None:
                 x = x - (r[i] / sq_norms[i]) * a[i]
             else:
@@ -378,8 +375,14 @@ class TestSolve:
 
 
 # DQRK(0.3, 0.35) has an empty band when round(0.3 m) == round(0.35 m), as
-# for m = 4, so its solves end on an "error:" termination.
+# for m = 4, so ``solve`` must raise for those m before its first record.
 DIFFERENTIAL_SELECTORS = ALL_SELECTORS + [DQRK(0.3, 0.35)]
+
+
+def band_is_empty(kind, m):
+    """Whether a dqrk band holds no row of m, rounding halves up."""
+    return isinstance(kind, DQRK) and \
+        math.floor(kind.q0 * m + 0.5) >= math.floor(kind.q1 * m + 0.5)
 
 
 class TestCarriedResidual:
@@ -413,26 +416,31 @@ class TestCarriedResidual:
             system = DenseSystem(system.A, system.b)
             if stop_kind == "target_sq_error":
                 stop_kind = "residual_norm"
-        start = solve(system, SolverConfig(kind, 0, seed=seed, x0=x0)).records[0]
+        # x0 and its record depend on the seed and the x0 policy alone
+        start = solve(system, SolverConfig(RK(), 0, seed=seed, x0=x0)).records[0]
         stop = None
         if stop_kind == "target_sq_error":
             stop = StopRule(target_sq_error=stop_fraction * start.sq_error)
         elif stop_kind == "residual_norm":
             stop = StopRule(residual_norm=stop_fraction * start.residual_norm)
         config = SolverConfig(kind, max_iters, seed=seed, x0=x0, stop=stop)
+        if band_is_empty(kind, m):
+            with pytest.raises(InvalidQuantilesError, match="admissible block is empty"):
+                solve(system, config, record_every=record_every, record=record)
+            return
         got = solve(system, config, record_every=record_every, record=record)
         want = two_matvec_solve(system, config, record_every=record_every, record=record)
         assert trace_bits(got) == trace_bits(want)
 
-    def test_error_termination_matches_two_matvec_loop(self):
-        # the band is empty for every iterate, so the solve stops before
-        # its first step and the initial record is also the last
+    @pytest.mark.parametrize("max_iters", [0, 20])
+    def test_empty_band_raises_before_first_record(self, max_iters):
+        # the band's emptiness depends on m alone, so no iterate could fill it
         system = consistent_system(4, 2, seed=0)
-        config = SolverConfig(DQRK(0.3, 0.35), 20, seed=3)
-        trace = solve(system, config, record_every=7)
-        assert trace.termination.startswith("error:")
-        assert trace_bits(trace) == trace_bits(
-            two_matvec_solve(system, config, record_every=7))
+        config = SolverConfig(DQRK(0.3, 0.35), max_iters, seed=3)
+        with pytest.raises(InvalidQuantilesError,
+                           match=r"admissible block is empty: round\(q0\*m\)=1, "
+                                 r"round\(q1\*m\)=1 for m=4"):
+            solve(system, config, record_every=7)
 
     def test_residual_norm_stop_closes_the_trace_between_records(self):
         system = consistent_system(30, 4, seed=39)
