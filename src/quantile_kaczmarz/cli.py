@@ -68,7 +68,7 @@ def _problem_from_args(args) -> ProblemSpec:
             raise QuantileKaczmarzError("either --matrix or both --m and --n are required")
         source = GeneratedSource(dist=args.dist, m=args.m, n=args.n, seed=args.seed)
     corruption = None
-    if args.beta > 0:
+    if args.beta != 0:  # CorruptionSpec rejects a beta outside [0, 1)
         corruption = CorruptionSpec(beta=args.beta, scale=args.corruption_scale,
                                     seed=args.seed)
     return ProblemSpec(source=source, normalize=args.normalize,
@@ -230,10 +230,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except QuantileKaczmarzError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return RUNTIME_ERROR
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (QuantileKaczmarzError, OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return RUNTIME_ERROR
 

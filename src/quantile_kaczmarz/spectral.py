@@ -11,6 +11,11 @@ enumeration, so three modes are offered:
 * random subset sampling, which upper-bounds the true minimum because it
   minimizes over fewer candidates.
 
+Exact and sampled modes share one loop: a chunk of c subsets gathers at
+most 4 MiB of rows and forms its c Gram matrices in one stacked product, so
+memory stays at about 4 MiB plus c n^2 doubles, whatever m is. Sampling
+draws one rng.choice(m, size=s, replace=False) per trial from PCG64(seed).
+
 Submatrix values are computed from Gram matrices (A_S^T A_S) with symmetric
 eigensolves, so a value sigma carries an absolute error of about
 n eps sigma_max^2 / sigma. Against per-submatrix SVDs of random matrices
@@ -46,18 +51,33 @@ from .linalg import as_matrix, extreme_singular_values
 from .quantiles import round_half_up
 
 DEFAULT_SUBSET_BUDGET = 1_000_000
-_CHUNK = 8192
+_CHUNK_BYTES = 4 << 20  # gathered rows per chunk of subsets
 _LEVERAGE_TOL = 1e-8
 _MAX_SECULAR_STEPS = 100
 
 
-def _min_eig_batch(grams: np.ndarray) -> np.ndarray:
-    """Smallest eigenvalue of each (n, n) Gram matrix in a (c, n, n) stack."""
-    return np.linalg.eigvalsh(grams)[:, 0]
-
-
 def _sigma_from_eig(value: float) -> float:
     return math.sqrt(max(value, 0.0))
+
+
+def _subset_size(m: int, alpha: float) -> int:
+    return min(max(round_half_up(alpha * m), 0), m)
+
+
+def _subset_sigma_min(a: np.ndarray, s: int, subsets) -> float:
+    """Minimum of sigma_min(A_S) over an iterator of size-``s`` row-index subsets.
+
+    A chunk holds as many subsets as fit their (c, s, n) rows in
+    ``_CHUNK_BYTES``, at least one; its (c, n, n) Gram stack is no larger.
+    """
+    n = a.shape[1]
+    per_chunk = max(1, _CHUNK_BYTES // (8 * s * n))
+    best = math.inf
+    while chunk := list(islice(subsets, per_chunk)):
+        rows = a[np.asarray(chunk, dtype=np.intp)]
+        grams = np.matmul(rows.transpose(0, 2, 1), rows)
+        best = min(best, float(np.linalg.eigvalsh(grams)[:, 0].min()))
+    return _sigma_from_eig(best)
 
 
 def subset_sigma_min(a: np.ndarray, alpha: float,
@@ -66,28 +86,18 @@ def subset_sigma_min(a: np.ndarray, alpha: float,
 
     Returns 0 immediately when the subset size is below n. Raises
     BudgetExceededError when the number of subsets exceeds ``subset_budget``;
-    use ``subset_sigma_min_sampled`` in that case.
+    use ``subset_sigma_min_sampled`` in that case. Memory stays at about
+    4 MiB plus c n^2 doubles per chunk of c subsets, whatever m is.
     """
     a = as_matrix(a)
     m, n = a.shape
-    s = min(max(round_half_up(alpha * m), 0), m)
+    s = _subset_size(m, alpha)
     if s < n:
         return 0.0
     total = math.comb(m, s)
     if total > subset_budget:
         raise BudgetExceededError(total, subset_budget)
-
-    outers = a[:, :, None] * a[:, None, :]  # (m, n, n) per-row Gram contributions
-    best = math.inf
-    combo_iter = combinations(range(m), s)
-    while True:
-        chunk = list(islice(combo_iter, _CHUNK))
-        if not chunk:
-            break
-        idx = np.asarray(chunk, dtype=np.intp)
-        grams = outers[idx].sum(axis=1)
-        best = min(best, float(_min_eig_batch(grams).min()))
-    return _sigma_from_eig(best)
+    return _subset_sigma_min(a, s, combinations(range(m), s))
 
 
 def leave_one_out_sigma_min(a: np.ndarray) -> float:
@@ -177,27 +187,19 @@ def _smallest_secular_roots(lam: np.ndarray, w: np.ndarray, solve: np.ndarray) -
 def subset_sigma_min_sampled(a: np.ndarray, alpha: float, trials: int, seed: int = 0) -> float:
     """Minimum of sigma_min(A_S) over ``trials`` uniformly sampled subsets.
 
-    An upper bound on the exact subset minimum (fewer candidates).
-    Deterministic given the seed.
+    An upper bound on the exact subset minimum (fewer candidates). Trial t
+    evaluates the t-th ``rng.choice(m, size=s, replace=False)`` of
+    PCG64(seed). Memory is bounded as in ``subset_sigma_min``.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     a = as_matrix(a)
     m, n = a.shape
-    s = min(max(round_half_up(alpha * m), 0), m)
+    s = _subset_size(m, alpha)
     if s < n:
         return 0.0
     rng = np.random.Generator(np.random.PCG64(seed))
-    outers = a[:, :, None] * a[:, None, :]
-    best = math.inf
-    done = 0
-    while done < trials:
-        count = min(_CHUNK, trials - done)
-        idx = np.stack([rng.choice(m, size=s, replace=False) for _ in range(count)])
-        grams = outers[idx].sum(axis=1)
-        best = min(best, float(_min_eig_batch(grams).min()))
-        done += count
-    return _sigma_from_eig(best)
+    return _subset_sigma_min(a, s, (rng.choice(m, size=s, replace=False) for _ in range(trials)))
 
 
 @dataclass(frozen=True)

@@ -46,6 +46,13 @@ class TestSolve:
         code = run_cli("solve", "--method", "rk", "--out", str(tmp_path))
         assert code == 2
 
+    def test_negative_beta_exits_2_before_solving(self, tmp_path, capsys):
+        code = run_cli("solve", "--m", "20", "--n", "4", "--method", "rk",
+                       "--beta", "-0.5", "--out", str(tmp_path))
+        assert code == 2
+        assert "error: ValueError: beta must be in [0, 1), got -0.5" in capsys.readouterr().err
+        assert not (tmp_path / "summary.json").exists()
+
     def test_matrix_file_input(self, tmp_path):
         rng = np.random.default_rng(1)
         path = tmp_path / "a.mtx"
@@ -54,6 +61,21 @@ class TestSolve:
                        "--method", "motzkin", "--iters", "50",
                        "--out", str(tmp_path / "res"))
         assert code == 0
+
+
+class TestErrorLine:
+    """Every error that escapes a subcommand prints ``error: <Type>: <message>``."""
+
+    @pytest.mark.parametrize("argv, line", [
+        (["bench", "--m", "4", "--n", "2", "--q0", "0.3", "--q1", "0.35",
+          "--methods", "qrk,dqrk", "--iters", "10", "--repeats", "1"],
+         "error: InvalidQuantilesError: admissible block is empty"),
+        (["solve", "--method", "rk"],
+         "error: QuantileKaczmarzError: either --matrix or both --m and --n are required"),
+    ], ids=["empty-band", "no-problem"])
+    def test_package_errors_print_their_type(self, tmp_path, capsys, argv, line):
+        assert run_cli(*argv, "--out", str(tmp_path)) == 2
+        assert line in capsys.readouterr().err
 
 
 class TestExperiment:

@@ -43,24 +43,41 @@ def per_row_eigh_leave_one_out(a):
     return math.sqrt(max(best, 0.0))
 
 
-def assert_matches_oracle(a):
-    """sigma_loo against the oracle: 1e-9 relative where the oracle value is at
-    least 1e-6 sigma_max, else 1e-6 sigma_max absolute.
+def sampled_svd_oracle(a, alpha, trials, seed):
+    """Independent oracle: replay the documented draws, one SVD per subset."""
+    m, n = a.shape
+    s = min(max(math.floor(alpha * m + 0.5), 0), m)
+    if s < n:
+        return 0.0
+    rng = np.random.Generator(np.random.PCG64(seed))
+    return float(min(np.linalg.svd(a[rng.choice(m, size=s, replace=False)],
+                                   compute_uv=False)[-1]
+                     for _ in range(trials)))
 
-    Both sides read eigenvalues of Gram matrices, each off by up to about
-    n eps sigma_max^2 (Weyl's bound for a backward-stable eigensolver), so
-    their square roots differ by up to n eps sigma_max^2 / sigma on top of
-    the relative tolerance; that term passes 1e-9 relative below about
+
+def assert_within_gram_error(got, expected, a):
+    """1e-9 relative where the oracle value is at least 1e-6 sigma_max, else
+    1e-6 sigma_max absolute.
+
+    A value read from a Gram matrix eigenvalue is off by up to about
+    n eps sigma_max^2 (Weyl's bound for a backward-stable eigensolver), so its
+    square root is off by up to n eps sigma_max^2 / sigma on top of the
+    relative tolerance; that term passes 1e-9 relative below about
     1e-3 sigma_max.
     """
-    expected = per_row_eigh_leave_one_out(a)
-    got = leave_one_out_sigma_min(a)
     sigma_max = float(np.linalg.norm(a, 2))
     if expected >= 1e-6 * sigma_max:
         gram_error = a.shape[1] * np.finfo(float).eps * sigma_max ** 2 / expected
         assert abs(got - expected) <= 1e-9 * expected + gram_error, (got, expected)
     else:
         assert abs(got - expected) <= 1e-6 * sigma_max, (got, expected)
+
+
+def assert_matches_oracle(a):
+    """sigma_loo against the per-row oracle, both read from Gram matrices."""
+    expected = per_row_eigh_leave_one_out(a)
+    got = leave_one_out_sigma_min(a)
+    assert_within_gram_error(got, expected, a)
     return got, expected
 
 
@@ -243,6 +260,31 @@ class TestSampled:
     def test_trials_validated(self):
         with pytest.raises(ValueError):
             subset_sigma_min_sampled(np.eye(3), 1.0, trials=0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(1, 12), extra=st.integers(0, 6), alpha=st.floats(0.0, 1.0),
+           trials=st.integers(1, 40), kind=st.sampled_from(["gaussian", "scaled"]),
+           data_seed=st.integers(0, 2**32 - 1), seed=st.integers(0, 2**32 - 1))
+    def test_matches_replayed_svd_oracle(self, n, extra, alpha, trials, kind, data_seed, seed):
+        rng = np.random.default_rng(data_seed)
+        m = min(n + extra, 14)
+        a = rng.normal(size=(m, n))
+        if kind == "scaled":
+            a *= np.exp(rng.normal(scale=2.0, size=(m, 1)))
+        expected = sampled_svd_oracle(a, alpha, trials, seed)
+        assert_within_gram_error(subset_sigma_min_sampled(a, alpha, trials, seed),
+                                 expected, a)
+
+    def test_memory_stays_within_chunk_budget(self):
+        a = np.random.default_rng(47).normal(size=(500, 50))
+        tracemalloc.start()
+        try:
+            subset_sigma_min_sampled(a, 0.9, trials=30, seed=55)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # gathering per-row outer products as a (trials, s, n, n) array takes 268 MiB here
+        assert peak < 32 * 2**20
 
 
 class TestSpectralProfile:
