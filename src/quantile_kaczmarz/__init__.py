@@ -24,8 +24,6 @@ from .errors import (
     ConvergenceFailureError,
     DegenerateConditioningError,
     DimensionMismatchError,
-    EmptyAdmissibleSetError,
-    EmptyInputError,
     HypothesisViolationError,
     InvalidQuantilesError,
     MatrixMarketParseError,
@@ -59,7 +57,6 @@ from .problems import (
     corrupt,
     generate_system,
 )
-from .quantiles import QuantilePartition, partition_two_sided
 from .solver import (
     DQRK,
     DenseSystem,
@@ -76,9 +73,7 @@ from .solver import (
     StopRule,
     TraceRecord,
     parse_selector,
-    select_row,
     solve,
-    weighted_sample,
 )
 from .spectral import (
     SpectralEntry,

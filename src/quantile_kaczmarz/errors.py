@@ -29,20 +29,12 @@ class ConvergenceFailureError(QuantileKaczmarzError):
         super().__init__(msg + (f": {detail}" if detail else ""))
 
 
-class EmptyInputError(QuantileKaczmarzError):
-    """An operation that needs at least one element received none."""
-
-
 class InvalidQuantilesError(QuantileKaczmarzError):
     """Quantile parameters violate their ordering or range constraints."""
 
 
 class AllZeroWeightsError(QuantileKaczmarzError):
     """Categorical sampling was asked to draw from an all-zero weight vector."""
-
-
-class EmptyAdmissibleSetError(QuantileKaczmarzError):
-    """A row selector's admissible set is empty."""
 
 
 class BudgetExceededError(QuantileKaczmarzError):

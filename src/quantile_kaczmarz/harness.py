@@ -77,6 +77,10 @@ class RunSpec:
     stop: StopRule | None = None
     x0: X0Policy = field(default_factory=Origin)
 
+    def __post_init__(self):
+        if self.max_iters < 0:
+            raise ValueError(f"run {self.label!r}: iters must be >= 0, got {self.max_iters}")
+
 
 @dataclass(frozen=True)
 class ExperimentSpec:
@@ -461,16 +465,33 @@ def spec_to_dict(spec: ExperimentSpec) -> dict:
     }
 
 
+def _integer(data: dict, key: str, default: int | None = None) -> int:
+    """``data[key]`` (``default`` if absent) as an int; JSON's 3.0 counts, 2.7 and true do not."""
+    value = data[key] if default is None else data.get(key, default)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{key!r} must be an integer, got {value!r}")
+    return value
+
+
+def _boolean(data: dict, key: str, default: bool) -> bool:
+    value = data.get(key, default)
+    if not isinstance(value, bool):
+        raise ValueError(f"{key!r} must be true or false, got {value!r}")
+    return value
+
+
 def spec_from_dict(data: dict) -> ExperimentSpec:
-    """Parse the documented experiment JSON schema."""
+    """Parse the documented experiment JSON schema; a mistyped value raises ValueError."""
     problem_data = data["problem"]
     source_data = problem_data["source"]
     if source_data.get("kind", "generated") == "file":
         source = FileSource(path=source_data["path"])
     else:
         source = GeneratedSource(
-            dist=source_data["dist"], m=int(source_data["m"]), n=int(source_data["n"]),
-            seed=int(source_data.get("seed", 0)),
+            dist=source_data["dist"], m=_integer(source_data, "m"),
+            n=_integer(source_data, "n"), seed=_integer(source_data, "seed", 0),
         )
     corruption_data = problem_data.get("corruption")
     corruption = None
@@ -480,13 +501,13 @@ def spec_from_dict(data: dict) -> ExperimentSpec:
             low=float(corruption_data.get("low", 0.0)),
             high=float(corruption_data.get("high", 1.0)),
             scale=float(corruption_data.get("scale", 1.0)),
-            seed=int(corruption_data.get("seed", 0)),
+            seed=_integer(corruption_data, "seed", 0),
         )
     problem = ProblemSpec(
         source=source,
-        normalize=bool(problem_data.get("normalize", True)),
+        normalize=_boolean(problem_data, "normalize", True),
         corruption=corruption,
-        solution_seed=int(problem_data.get("solution_seed", 0)),
+        solution_seed=_integer(problem_data, "solution_seed", 0),
     )
     runs = []
     for entry in data["runs"]:
@@ -500,15 +521,15 @@ def spec_from_dict(data: dict) -> ExperimentSpec:
                 residual_norm=stop_data.get("residual_norm"),
             )
         runs.append(RunSpec(label=entry["label"], selector=selector,
-                            max_iters=int(entry["iters"]), stop=stop,
+                            max_iters=_integer(entry, "iters"), stop=stop,
                             x0=parse_x0(entry.get("x0", "origin"))))
     return ExperimentSpec(
         problem=problem,
         runs=tuple(runs),
-        trials=int(data.get("trials", 1)),
-        seed=int(data.get("seed", 0)),
-        record_every=int(data.get("record_every", 1)),
-        fresh_problem_per_trial=bool(data.get("fresh_problem_per_trial", True)),
+        trials=_integer(data, "trials", 1),
+        seed=_integer(data, "seed", 0),
+        record_every=_integer(data, "record_every", 1),
+        fresh_problem_per_trial=_boolean(data, "fresh_problem_per_trial", True),
     )
 
 

@@ -16,20 +16,9 @@ from pathlib import Path
 import numpy as np
 
 from .linalg import as_vector, normalize_rows
-from .matrixmarket import load_matrix_market, save_matrix_market  # re-exported
+from .matrixmarket import load_matrix_market
 from .quantiles import round_half_up
 from .solver import DenseSystem, GroundTruth
-
-__all__ = [
-    "CorruptionSpec",
-    "GeneratedSource",
-    "FileSource",
-    "ProblemSpec",
-    "corrupt",
-    "generate_system",
-    "load_matrix_market",
-    "save_matrix_market",
-]
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,12 @@
 
 The quantile of a multiset of size m at level q is the k-th order statistic
 with k = round-half-up(q * m) clamped to [1, m]; when q*m is an integer this
-is exactly the (q*m)-th smallest element. Partitions split index sets by
-membership counts, never by interpolated values, because the row-selection
-rules are defined by how many rows fall in each block.
+is exactly the (q*m)-th smallest element. ``band_ranks`` is the one rule that
+turns quantile levels into the ranks (k0, k1) of a band, and rejects a band
+that holds no item. The partition takes those ranks, not quantiles: it
+splits index sets by membership counts, never by interpolated values,
+because the row-selection rules are defined by how many rows fall in each
+block, and a solver works its ranks out once, since they depend on m alone.
 
 Ties are broken deterministically: entries are ordered by (value, original
 index), so among equal values the lowest indices fill the lower blocks
@@ -17,11 +20,10 @@ tie or a NaN does the partition fall back to the stable sort.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyInputError, InvalidQuantilesError
+from .errors import InvalidQuantilesError
 
 
 def round_half_up(x: float) -> int:
@@ -37,7 +39,8 @@ def quantile_rank(q: float, size: int) -> int:
 def band_ranks(m: int, q1: float, q0: float | None = None) -> tuple[int, int]:
     """Block boundaries (k0, k1) = (round(q0*m), round(q1*m)) for m items.
 
-    k0 is 0 when q0 is absent and k1 is clamped to [1, m]. Raises
+    The band is the items of ranks k0+1..k1 in (value, index) order. k0 is 0
+    when q0 is absent and k1 is clamped to [1, m]. Raises
     InvalidQuantilesError for misordered quantiles or an empty band.
     """
     if not 0.0 < q1 <= 1.0:
@@ -53,53 +56,25 @@ def band_ranks(m: int, q1: float, q0: float | None = None) -> tuple[int, int]:
     return k0, k1
 
 
-@dataclass(frozen=True)
-class QuantilePartition:
-    """A disjoint split of indices into lower / admissible / upper blocks.
+def partition_two_sided(values, k0: int, k1: int) -> tuple[np.ndarray, float | None, float]:
+    """Sort values and cut the sorted indices at the ranks (k0, k1).
 
-    In (value, index) order, the lower block is the first round(q0*m)
-    indices, ``admissible`` the next round(q1*m) - round(q0*m), ``upper``
-    the rest; the lower block is the complement of the other two and is not
-    stored. ``q0_value``/``q1_value`` are the boundary order statistics
-    (q0_value is None when the lower block is empty).
-    """
-
-    q0: float | None
-    q1: float
-    q0_value: float | None
-    q1_value: float
-    admissible: np.ndarray
-    upper: np.ndarray
-
-
-def partition_two_sided(values, q1: float, q0: float | None = None) -> QuantilePartition:
-    """Partition indices by a one- or two-sided quantile band.
-
-    Entries are sorted by value with the original index as tiebreaker,
-    then split by counts at the ranks of ``band_ranks``, which raises
-    InvalidQuantilesError for a band that cannot fit m. The blocks are
-    slices of one index array.
+    Returns (block, low, high): ``block`` is the indices in positions
+    k0..k1-1 of the (value, index) order, ``low`` the k0-th smallest value
+    (None when k0 is 0) and ``high`` the k1-th smallest. The ranks must
+    satisfy 0 <= k0 < k1 <= len(values), as ``band_ranks`` guarantees; they
+    are not checked here.
 
     The order comes from the default argsort, which is checked for strict
     increase; on any tie or NaN the stable argsort replaces it, so the
     result is always exactly the (value, index) order.
     """
-    v = np.asarray(values, dtype=np.float64).ravel()
-    if v.size == 0:
-        raise EmptyInputError("partition_two_sided needs at least one value")
-    k0, k1 = band_ranks(v.size, q1, q0)
-
+    v = np.asarray(values, dtype=np.float64)
     order = np.argsort(v)
     ranked = v[order]
     if not np.all(ranked[1:] > ranked[:-1]):
         # a tie or a NaN: only a stable sort puts equal values in index order
         order = np.argsort(v, kind="stable")
         ranked = v[order]
-    return QuantilePartition(
-        q0=q0,
-        q1=q1,
-        q0_value=float(ranked[k0 - 1]) if k0 >= 1 else None,
-        q1_value=float(ranked[k1 - 1]),
-        admissible=order[k0:k1],
-        upper=order[k1:],
-    )
+    low = float(ranked[k0 - 1]) if k0 >= 1 else None
+    return order[k0:k1], low, float(ranked[k1 - 1])

@@ -29,7 +29,6 @@ import numpy as np
 from .errors import (
     AllZeroWeightsError,
     DimensionMismatchError,
-    EmptyAdmissibleSetError,
     InvalidQuantilesError,
     ZeroRowError,
 )
@@ -58,6 +57,10 @@ class QRK:
         if not 0.0 < self.q < 1.0:
             raise InvalidQuantilesError(f"qrk needs q in (0, 1), got {self.q}")
 
+    def ranks(self, m: int) -> tuple[int, int]:
+        """Band ranks (0, round(q*m)) over m rows: the lowest q-fraction."""
+        return band_ranks(m, self.q)
+
 
 @dataclass(frozen=True)
 class RQRK:
@@ -70,13 +73,15 @@ class RQRK:
         if not 0.0 < self.q < 1.0:
             raise InvalidQuantilesError(f"rqrk needs q in (0, 1), got {self.q}")
 
-    def validate_for(self, m: int) -> None:
+    def ranks(self, m: int) -> tuple[int, int]:
+        """Band ranks (round(q*m), m) over m rows: those above the q-quantile."""
         # The convergence guarantee needs 1/m <= q <= (m-1)/m; below 1/m the
         # scheme degrades to RK and above (m-1)/m the upper block is empty.
         if self.q * m < 1.0 - 1e-12 or self.q * m > m - 1.0 + 1e-12:
             raise InvalidQuantilesError(
                 f"rqrk needs 1/m <= q <= (m-1)/m, got q={self.q} with m={m}"
             )
+        return band_ranks(m, 1.0, self.q)
 
 
 @dataclass(frozen=True)
@@ -93,9 +98,9 @@ class DQRK:
                 f"dqrk needs 0 < q0 < q1 <= 1, got q0={self.q0}, q1={self.q1}"
             )
 
-    def validate_for(self, m: int) -> None:
-        # the band holds round(q1*m) - round(q0*m) rows, none for some m
-        band_ranks(m, self.q1, self.q0)
+    def ranks(self, m: int) -> tuple[int, int]:
+        """Band ranks (round(q0*m), round(q1*m)) over m rows; none fit some m."""
+        return band_ranks(m, self.q1, self.q0)
 
 
 @dataclass(frozen=True)
@@ -156,6 +161,7 @@ def weighted_sample(cum_weights: np.ndarray, rng: np.random.Generator) -> int:
 
 def select_row(
     kind: SelectorKind,
+    ranks: tuple[int, int] | None,
     residuals: np.ndarray | None,
     row_sq_norms: np.ndarray,
     cum_row_sq_norms: np.ndarray,
@@ -163,32 +169,22 @@ def select_row(
 ) -> tuple[int, float | None, float | None]:
     """Pick a row index under the given strategy.
 
-    ``residuals`` are the normalized residuals of the current iterate (RK
-    does not read them, so it accepts None). ``cum_row_sq_norms`` is
+    ``ranks`` is a quantile selector's ``kind.ranks(m)`` (None for RK and
+    Motzkin): it admits the rows of ranks k0+1..k1 in (residual, index)
+    order. ``residuals`` are the normalized residuals of the current iterate
+    (RK does not read them, so it accepts None). ``cum_row_sq_norms`` is
     ``np.cumsum(row_sq_norms)``, computed once per solve for RK's draw.
     Returns (index, low_threshold, high_threshold) where the thresholds are
-    the quantile values bounding the admissible set (None when unbounded on
-    that side).
+    the residual values bounding the admissible set (None when unbounded on
+    that side, as rqrk's set is above).
     """
     if isinstance(kind, RK):
         return weighted_sample(cum_row_sq_norms, rng), None, None
     if isinstance(kind, Motzkin):
         return int(np.argmax(residuals)), None, None
-    if isinstance(kind, QRK):
-        part = partition_two_sided(residuals, q1=kind.q)
-        admissible, low, high = part.admissible, None, part.q1_value
-    elif isinstance(kind, RQRK):
-        part = partition_two_sided(residuals, q1=kind.q)
-        admissible, low, high = part.upper, part.q1_value, None
-        if admissible.size == 0:
-            raise EmptyAdmissibleSetError(
-                f"no residual exceeds the q={kind.q} quantile for m={residuals.size}"
-            )
-    elif isinstance(kind, DQRK):
-        part = partition_two_sided(residuals, q1=kind.q1, q0=kind.q0)
-        admissible, low, high = part.admissible, part.q0_value, part.q1_value
-    else:
-        raise TypeError(f"unknown selector {kind!r}")
+    admissible, low, high = partition_two_sided(residuals, *ranks)
+    if isinstance(kind, RQRK):
+        high = None
     pick = weighted_sample(np.cumsum(row_sq_norms[admissible]), rng)
     return int(admissible[pick]), low, high
 
@@ -340,10 +336,10 @@ def solve(
     same as an unrecorded quantile iteration.
 
     Preconditions raise before the first record: zero rows, an rqrk
-    quantile or a dqrk band that does not fit m, a ``target_sq_error`` stop
-    without ground truth and an x0 row outside the matrix. Once they hold,
-    no row selection can fail, and ``termination`` is "max_iters",
-    "target_sq_error" or "residual_norm".
+    quantile or a dqrk band that does not fit m (``kind.ranks(m)``, once per
+    solve), a ``target_sq_error`` stop without ground truth and an x0 row
+    outside the matrix. Once they hold, no row selection can fail, and
+    ``termination`` is "max_iters", "target_sq_error" or "residual_norm".
     """
     a, b = system.A, system.b
     m, n = a.shape
@@ -359,8 +355,7 @@ def solve(
     cum_sq_norms = np.cumsum(sq_norms)
 
     kind = config.selector
-    if isinstance(kind, (RQRK, DQRK)):
-        kind.validate_for(m)
+    ranks = kind.ranks(m) if isinstance(kind, (QRK, RQRK, DQRK)) else None
 
     gt = system.ground_truth
     stop = config.stop or StopRule()
@@ -422,7 +417,7 @@ def solve(
                     termination = "residual_norm"
                     break
 
-            i, low, high = select_row(kind, nres, sq_norms, cum_sq_norms, rng)
+            i, low, high = select_row(kind, ranks, nres, sq_norms, cum_sq_norms, rng)
 
             # when this iteration needs no residual, RK steps by the row's own
             # dot product even if a record left r behind: the matvec's entry i

@@ -23,7 +23,6 @@ from quantile_kaczmarz import (
     cost_parity_benchmark,
     diagnostic_report,
     emit_artifacts,
-    partition_two_sided,
     robustness_diagnostic,
     rqrk_bound,
     run_experiment,
@@ -39,6 +38,7 @@ from quantile_kaczmarz.problems import (
     ProblemSpec,
     generate_system,
 )
+from quantile_kaczmarz.quantiles import band_ranks, partition_two_sided
 
 
 def report_pass(criterion: int, name: str) -> None:
@@ -210,7 +210,7 @@ class TestCriterion6OneStepContraction:
         assert base > 0
 
         residuals = np.abs(a @ x - b)
-        upper = partition_two_sided(residuals, q1=q).upper
+        upper, _, _ = partition_two_sided(residuals, *RQRK(q).ranks(m))
         assert upper.size == m - round(q * m)
 
         # rows are unit norm: selection over the upper block is uniform, and
@@ -305,15 +305,17 @@ class TestCriterion8Properties:
         rng = np.random.default_rng(89)
         for m in range(5, 51):
             values = rng.uniform(size=m)
+            ranked = np.sort(values)
             for j1 in range(1, m + 1):
-                part = partition_two_sided(values, q1=j1 / m)
-                assert part.admissible.size == j1
-                assert part.upper.size == m - j1
+                assert band_ranks(m, j1 / m) == (0, j1)
+                block, low, high = partition_two_sided(values, 0, j1)
+                assert block.size == j1
+                assert (low, high) == (None, ranked[j1 - 1])
                 for j0 in range(1, j1):
-                    two = partition_two_sided(values, q1=j1 / m, q0=j0 / m)
-                    assert m - two.admissible.size - two.upper.size == j0
-                    assert two.admissible.size == j1 - j0
-                    assert two.upper.size == m - j1
+                    assert band_ranks(m, j1 / m, j0 / m) == (j0, j1)
+                    block, low, high = partition_two_sided(values, j0, j1)
+                    assert block.size == j1 - j0
+                    assert (low, high) == (ranked[j0 - 1], ranked[j1 - 1])
         report_pass(8, "partition cardinality laws for all integer q*m, m in 5..50")
 
     def test_subset_sigma_exact_matches_bruteforce_everywhere(self):

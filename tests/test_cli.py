@@ -1,11 +1,18 @@
 import csv
+import importlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from quantile_kaczmarz import save_matrix_market
+from quantile_kaczmarz import harness, save_matrix_market
 from quantile_kaczmarz.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(*argv):
@@ -148,6 +155,39 @@ class TestExperiment:
 
     def test_missing_spec_file_exits_2(self, tmp_path):
         assert run_cli("experiment", str(tmp_path / "nope.json")) == 2
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda s: s["problem"].update(normalize="false"),
+         "'normalize' must be true or false, got 'false'"),
+        (lambda s: s.update(fresh_problem_per_trial=1),
+         "'fresh_problem_per_trial' must be true or false, got 1"),
+        (lambda s: s.update(trials=2.7), "'trials' must be an integer, got 2.7"),
+        (lambda s: s.update(seed=True), "'seed' must be an integer, got True"),
+        (lambda s: s["problem"]["source"].update(m=40.5), "'m' must be an integer, got 40.5"),
+        (lambda s: s["runs"].append({"label": "bad", "method": "rk", "iters": -1}),
+         "run 'bad': iters must be >= 0, got -1"),
+    ], ids=["normalize-string", "fresh-int", "trials-fraction", "seed-bool", "m-fraction",
+            "negative-iters-after-valid-run"])
+    def test_bad_spec_value_exits_2_before_any_solve(self, tmp_path, capsys, monkeypatch,
+                                                     edit, message):
+        solves = []
+        monkeypatch.setattr(harness, "solve", lambda *args, **kw: solves.append(args))
+        spec = {
+            "seed": 9,
+            "problem": {
+                "source": {"kind": "generated", "dist": "gaussian", "m": 40, "n": 5},
+                "normalize": True,
+            },
+            "runs": [{"label": "rk", "method": "rk", "iters": 30}],
+        }
+        edit(spec)
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        code = run_cli("experiment", str(spec_path), "--out", str(tmp_path / "out"))
+        assert code == 2
+        assert f"error: ValueError: {message}" in capsys.readouterr().err
+        assert solves == []
+        assert not (tmp_path / "out").exists()
 
 
 class TestDiagnose:
@@ -311,3 +351,23 @@ class TestBenchMethods:
         assert code == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "bench.csv").exists()
+
+
+class TestEntryPoint:
+    def test_console_script_names_main(self):
+        tomllib = pytest.importorskip("tomllib")
+        with open(ROOT / "pyproject.toml", "rb") as fh:
+            target = tomllib.load(fh)["project"]["scripts"]["qkaczmarz"]
+        assert target == "quantile_kaczmarz.cli:main"
+        module, attr = target.split(":")
+        assert getattr(importlib.import_module(module), attr) is main
+
+    def test_module_runs_as_a_script(self, tmp_path):
+        path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
+        proc = subprocess.run(
+            [sys.executable, "-m", "quantile_kaczmarz.cli", "solve", "--m", "40", "--n", "5",
+             "--method", "rk", "--iters", "5", "--out", str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["summary.json", "trajectory.csv"]

@@ -183,6 +183,11 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             small_spec(record_every=0)
 
+    def test_negative_iters_rejected(self):
+        # rejected when the spec is built, before another run is solved
+        with pytest.raises(ValueError, match="run 'rk': iters must be >= 0, got -1"):
+            RunSpec(label="rk", selector=RK(), max_iters=-1)
+
     def test_labels_must_be_unique(self):
         with pytest.raises(ValueError):
             small_spec(runs=(
@@ -272,6 +277,11 @@ class TestArtifacts:
             RunSpec(label="motzkin", selector=Motzkin(), max_iters=10),
         ))
         assert spec_from_dict(spec_to_dict(spec)) == spec
+
+    def test_integral_floats_are_integers(self):
+        # JSON has one number type; 2.0 is as integral as 2
+        data = spec_to_dict(small_spec(trials=2))
+        assert spec_from_dict({**data, "trials": 2.0}) == spec_from_dict(data)
 
     def test_retired_spec_keys_are_ignored(self):
         # "workers" and "outputs" were spec fields once; old spec files still load

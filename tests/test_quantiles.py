@@ -5,28 +5,20 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from quantile_kaczmarz import (
-    EmptyInputError,
-    InvalidQuantilesError,
-    partition_two_sided,
-)
+from quantile_kaczmarz import InvalidQuantilesError
 from quantile_kaczmarz.quantiles import (
-    QuantilePartition,
+    band_ranks,
+    partition_two_sided,
     quantile_rank,
     round_half_up,
 )
 
 
-def stable_sort_partition(values, q1, q0=None) -> QuantilePartition:
-    """Reference partition: one stable argsort, blocks cut by rank.
+def reference_ranks(m, q1, q0=None):
+    """Reference band rule: the ranks (k0, k1) of the (q0, q1] band of m items.
 
-    The package partition must match it element for element; it sorts
-    with a faster unstable argsort and falls back on ties and NaNs.
+    ``band_ranks`` must return the same ranks, and raise exactly when it does.
     """
-    v = np.asarray(values, dtype=np.float64).ravel()
-    m = v.size
-    if m == 0:
-        raise EmptyInputError("partition_two_sided needs at least one value")
     if not 0.0 < q1 <= 1.0:
         raise InvalidQuantilesError(f"q1 must be in (0, 1], got {q1}")
     if q0 is not None and not 0.0 <= q0 < q1:
@@ -35,25 +27,29 @@ def stable_sort_partition(values, q1, q0=None) -> QuantilePartition:
     k0 = 0 if q0 is None else min(round_half_up(q0 * m), m)
     if k0 >= k1:
         raise InvalidQuantilesError("admissible block is empty")
+    return k0, k1
+
+
+def stable_sort_partition(values, k0, k1):
+    """Reference partition: one stable argsort, the block cut by rank.
+
+    The package partition must match it element for element; it sorts
+    with a faster unstable argsort and falls back on ties and NaNs.
+    """
+    v = np.asarray(values, dtype=np.float64)
     order = np.argsort(v, kind="stable")
-    return QuantilePartition(
-        q0=q0,
-        q1=q1,
-        q0_value=float(v[order[k0 - 1]]) if k0 >= 1 else None,
-        q1_value=float(v[order[k1 - 1]]),
-        admissible=order[k0:k1],
-        upper=order[k1:],
-    )
+    low = float(v[order[k0 - 1]]) if k0 >= 1 else None
+    return order[k0:k1], low, float(v[order[k1 - 1]])
 
 
 def multiset_quantile(values, q) -> float:
     """The q-quantile order statistic, as the partition reports it."""
-    return partition_two_sided(values, q1=q).q1_value
+    return partition_two_sided(values, *band_ranks(len(values), q))[2]
 
 
-def lower_block(part: QuantilePartition, m: int) -> np.ndarray:
-    """The indices in neither the admissible nor the upper block."""
-    return np.setdiff1d(np.arange(m), np.concatenate([part.admissible, part.upper]))
+def sorted_indices(values) -> list[int]:
+    """Every index in (value, index) order: the band of ranks 1..m."""
+    return partition_two_sided(values, 0, len(values))[0].tolist()
 
 
 def same_float_bits(a, b) -> bool:
@@ -80,14 +76,13 @@ def partition_cases(draw):
     return values, q1, q0
 
 
-def assert_same_partition(got: QuantilePartition, want: QuantilePartition) -> None:
-    for block in ("admissible", "upper"):
-        have, expected = getattr(got, block), getattr(want, block)
-        assert have.dtype == expected.dtype, block
-        assert have.tolist() == expected.tolist(), block
-    assert same_float_bits(got.q0_value, want.q0_value)
-    assert same_float_bits(got.q1_value, want.q1_value)
-    assert (got.q0, got.q1) == (want.q0, want.q1)
+def assert_same_partition(got, want) -> None:
+    block, low, high = got
+    want_block, want_low, want_high = want
+    assert block.dtype == want_block.dtype
+    assert block.tolist() == want_block.tolist()
+    assert same_float_bits(low, want_low)
+    assert same_float_bits(high, want_high)
 
 
 class TestRounding:
@@ -115,7 +110,8 @@ class TestMultisetQuantile:
         assert multiset_quantile(values, 0.25) == np.sort(values)[24]
 
     def test_empty_raises(self):
-        with pytest.raises(EmptyInputError):
+        # an empty multiset holds no band
+        with pytest.raises(InvalidQuantilesError):
             multiset_quantile([], 0.5)
 
     def test_bad_q(self):
@@ -138,52 +134,51 @@ class TestMultisetQuantile:
 class TestPartition:
     def test_distinct_values_example(self):
         # values sorted ascending are 0.1(idx 4), 0.2(3), 0.3(2), 0.4(1), 0.5(0)
-        part = partition_two_sided([0.5, 0.4, 0.3, 0.2, 0.1], q1=0.8, q0=0.2)
-        assert lower_block(part, 5).tolist() == [4]
-        assert part.admissible.tolist() == [3, 2, 1]
-        assert part.upper.tolist() == [0]
-        assert part.q0_value == pytest.approx(0.1)
-        assert part.q1_value == pytest.approx(0.4)
+        values = [0.5, 0.4, 0.3, 0.2, 0.1]
+        assert band_ranks(5, 0.8, 0.2) == (1, 4)
+        block, low, high = partition_two_sided(values, 1, 4)
+        assert block.tolist() == [3, 2, 1]
+        assert low == pytest.approx(0.1)
+        assert high == pytest.approx(0.4)
+        assert sorted_indices(values) == [4, 3, 2, 1, 0]
 
     def test_tie_rule_on_equal_values(self):
         # all equal: index order decides the split completely
-        part = partition_two_sided([2.0] * 5, q1=0.8, q0=0.4)
-        assert lower_block(part, 5).tolist() == [0, 1]
-        assert part.admissible.tolist() == [2, 3]
-        assert part.upper.tolist() == [4]
+        assert band_ranks(5, 0.8, 0.4) == (2, 4)
+        assert partition_two_sided([2.0] * 5, 2, 4)[0].tolist() == [2, 3]
+        assert sorted_indices([2.0] * 5) == [0, 1, 2, 3, 4]
 
     def test_one_sided_matches_quantile(self):
         rng = np.random.default_rng(11)
         values = rng.uniform(size=10)
-        part = partition_two_sided(values, q1=0.6)
-        assert 10 - part.admissible.size - part.upper.size == 0
-        assert part.admissible.size == 6
-        assert values[part.admissible].max() == multiset_quantile(values, 0.6)
+        block, low, high = partition_two_sided(values, *band_ranks(10, 0.6))
+        assert block.size == 6
+        assert low is None
+        assert values[block].max() == high == multiset_quantile(values, 0.6)
 
     def test_upper_is_complement(self):
         rng = np.random.default_rng(12)
         values = rng.uniform(size=9)
-        part = partition_two_sided(values, q1=0.5)
-        assert 9 - part.admissible.size - part.upper.size == 0
-        combined = np.concatenate([part.admissible, part.upper])
+        _, k1 = band_ranks(9, 0.5)
+        combined = np.concatenate([partition_two_sided(values, 0, k1)[0],
+                                   partition_two_sided(values, k1, 9)[0]])
         assert sorted(combined.tolist()) == list(range(9))
 
     def test_custom_keys(self):
         # blocks are positions in value order; a caller's labels index by them
         keys = np.array([10, 20, 30])
-        part = partition_two_sided([3.0, 1.0, 2.0], q1=1.0)
-        assert keys[part.admissible].tolist() == [20, 30, 10]
+        assert keys[sorted_indices([3.0, 1.0, 2.0])].tolist() == [20, 30, 10]
 
     def test_empty_admissible_rejected(self):
         # rounding collapses both cut points to the same rank
         with pytest.raises(InvalidQuantilesError):
-            partition_two_sided(np.arange(10.0), q1=0.54, q0=0.51)
+            band_ranks(10, 0.54, 0.51)
 
     def test_bad_ordering_rejected(self):
         with pytest.raises(InvalidQuantilesError):
-            partition_two_sided([1.0, 2.0], q1=0.5, q0=0.5)
+            band_ranks(2, 0.5, 0.5)
         with pytest.raises(InvalidQuantilesError):
-            partition_two_sided([1.0, 2.0], q1=1.2)
+            band_ranks(2, 1.2)
 
     def test_cardinality_law_integer_quantiles(self):
         rng = np.random.default_rng(13)
@@ -192,10 +187,8 @@ class TestPartition:
             for j0, j1 in [(0, 1), (0, m), (1, m), (m // 2, m // 2 + 1), (1, m - 1)]:
                 if j0 >= j1:
                     continue
-                part = partition_two_sided(values, q1=j1 / m, q0=j0 / m if j0 else None)
-                assert m - part.admissible.size - part.upper.size == j0
-                assert part.admissible.size == j1 - j0
-                assert part.upper.size == m - j1
+                assert band_ranks(m, j1 / m, j0 / m if j0 else None) == (j0, j1)
+                assert partition_two_sided(values, j0, j1)[0].size == j1 - j0
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
@@ -207,12 +200,11 @@ class TestPartition:
         perm = np.asarray(perm)
         j1 = data.draw(st.integers(1, m))
         j0 = data.draw(st.integers(0, j1 - 1))
-        base = partition_two_sided(values, q1=j1 / m, q0=j0 / m if j0 else None)
-        permuted = partition_two_sided(values[perm], q1=j1 / m, q0=j0 / m if j0 else None)
         # index i in the permuted input holds values[perm[i]]
-        assert sorted(perm[permuted.admissible].tolist()) == sorted(base.admissible.tolist())
-        assert (sorted(perm[lower_block(permuted, m)].tolist())
-                == sorted(lower_block(base, m).tolist()))
+        for k0, k1 in [(j0, j1), (0, j1)]:
+            base = partition_two_sided(values, k0, k1)[0]
+            permuted = partition_two_sided(values[perm], k0, k1)[0]
+            assert sorted(perm[permuted].tolist()) == sorted(base.tolist())
 
 
 class TestPartitionMatchesStableSortOracle:
@@ -223,22 +215,27 @@ class TestPartitionMatchesStableSortOracle:
     @example(([0.2, float("nan"), 0.1, -0.0, 0.0], 0.8, 0.2))  # NaN, signed zeros
     def test_blocks_and_thresholds_identical(self, case):
         values, q1, q0 = case
+        m = len(values)
         try:
-            want = stable_sort_partition(values, q1=q1, q0=q0)
+            k0, k1 = reference_ranks(m, q1, q0)
         except InvalidQuantilesError:
             with pytest.raises(InvalidQuantilesError):
-                partition_two_sided(values, q1=q1, q0=q0)
+                band_ranks(m, q1, q0)
             return
-        assert_same_partition(partition_two_sided(values, q1=q1, q0=q0), want)
+        assert band_ranks(m, q1, q0) == (k0, k1)
+        assert_same_partition(partition_two_sided(values, k0, k1),
+                              stable_sort_partition(values, k0, k1))
 
     def test_large_tie_free_vector(self):
         values = np.random.default_rng(14).normal(size=2500)
-        for q0, q1 in [(None, 0.8), (0.6, 0.8), (None, 0.7)]:
-            assert_same_partition(partition_two_sided(values, q1=q1, q0=q0),
-                                  stable_sort_partition(values, q1=q1, q0=q0))
+        for q0, q1 in [(None, 0.8), (0.6, 0.8), (None, 0.7), (0.8, 1.0)]:
+            ranks = band_ranks(2500, q1, q0)
+            assert_same_partition(partition_two_sided(values, *ranks),
+                                  stable_sort_partition(values, *ranks))
 
     def test_large_vector_with_ties(self):
         # quantized residuals: long runs of equal values across the cut points
         values = np.round(np.random.default_rng(15).uniform(size=2500), 2)
-        assert_same_partition(partition_two_sided(values, q1=0.8, q0=0.6),
-                              stable_sort_partition(values, q1=0.8, q0=0.6))
+        ranks = band_ranks(2500, 0.8, 0.6)
+        assert_same_partition(partition_two_sided(values, *ranks),
+                              stable_sort_partition(values, *ranks))

@@ -11,7 +11,6 @@ from quantile_kaczmarz import (
     AllZeroWeightsError,
     DQRK,
     DenseSystem,
-    EmptyAdmissibleSetError,
     GroundTruth,
     InvalidQuantilesError,
     Motzkin,
@@ -26,15 +25,13 @@ from quantile_kaczmarz import (
     ZeroRowError,
     generate_system,
     parse_selector,
-    partition_two_sided,
-    select_row,
     solve,
     subset_sigma_min,
-    weighted_sample,
 )
 from quantile_kaczmarz.linalg import row_norms
 from quantile_kaczmarz.problems import CorruptionSpec, GeneratedSource, ProblemSpec
-from quantile_kaczmarz.solver import TraceRecord
+from quantile_kaczmarz.quantiles import band_ranks, partition_two_sided, quantile_rank
+from quantile_kaczmarz.solver import TraceRecord, select_row, weighted_sample
 
 from conftest import step_from
 
@@ -69,8 +66,7 @@ def two_matvec_solve(system, config, record_every=1, record=True):
     sq_norms = norms * norms
     cum_sq_norms = np.cumsum(sq_norms)
     kind = config.selector
-    if isinstance(kind, RQRK):
-        kind.validate_for(m)
+    ranks = kind.ranks(m) if isinstance(kind, (QRK, RQRK, DQRK)) else None
     gt = system.ground_truth
     stop = config.stop
     rng = np.random.Generator(np.random.PCG64(config.seed))
@@ -105,7 +101,7 @@ def two_matvec_solve(system, config, record_every=1, record=True):
             if stop_on_res_norm and float(np.linalg.norm(nres)) <= stop.residual_norm:
                 termination = "residual_norm"
                 break
-            i, low, high = select_row(kind, nres, sq_norms, cum_sq_norms, rng)
+            i, low, high = select_row(kind, ranks, nres, sq_norms, cum_sq_norms, rng)
             if r is not None:
                 x = x - (r[i] / sq_norms[i]) * a[i]
             else:
@@ -157,6 +153,51 @@ class TestSelectorKinds:
             parse_selector("rqrk")
 
 
+def reference_ranks(kind, m):
+    """Reference band rule of each quantile selector over m rows.
+
+    RQRK takes the rows above rank quantile_rank(q, m) and needs
+    1/m <= q <= (m-1)/m; QRK and DQRK take the ranks of ``band_ranks``.
+    """
+    if isinstance(kind, QRK):
+        return band_ranks(m, kind.q)
+    if isinstance(kind, DQRK):
+        return band_ranks(m, kind.q1, kind.q0)
+    if kind.q * m < 1.0 - 1e-12 or kind.q * m > m - 1.0 + 1e-12:
+        raise InvalidQuantilesError(
+            f"rqrk needs 1/m <= q <= (m-1)/m, got q={kind.q} with m={m}")
+    return quantile_rank(kind.q, m), m
+
+
+def quantile_level(m):
+    """A level in (0, 1], half the time on a rank edge of m items."""
+    edges = st.integers(0, m).flatmap(lambda j: st.sampled_from([
+        0.5 / m, (1 - 1e-13) / m, (1 + 1e-13) / m, (m - 1 - 1e-13) / m,
+        (m - 1 + 1e-13) / m, (m - 0.5) / m, (j + 0.5) / m, j / m]))
+    return (st.floats(0.0, 1.0, exclude_min=True) | edges).filter(lambda q: 0.0 < q <= 1.0)
+
+
+class TestRanks:
+    @settings(max_examples=500, deadline=None)
+    @given(st.data())
+    def test_ranks_match_reference_rule(self, data):
+        m = data.draw(st.integers(1, 300), label="m")
+        qa = data.draw(quantile_level(m), label="qa")
+        qb = data.draw(quantile_level(m), label="qb")
+        kinds = [QRK(qa), RQRK(qa)] if qa < 1.0 else []
+        if qa != qb:
+            kinds.append(DQRK(min(qa, qb), max(qa, qb)))
+        for kind in kinds:
+            try:
+                want = reference_ranks(kind, m)
+            except InvalidQuantilesError as exc:
+                with pytest.raises(InvalidQuantilesError) as err:
+                    kind.ranks(m)
+                assert str(err.value) == str(exc)
+                continue
+            assert kind.ranks(m) == want
+
+
 def sample(weights, rng):
     return weighted_sample(np.cumsum(weights), rng)
 
@@ -201,20 +242,22 @@ def uniform_weights(m):
 
 class TestSelectRow:
     def test_motzkin_argmax(self):
-        i, low, high = select_row(Motzkin(), np.array([0.1, 0.9, 0.4]),
+        i, low, high = select_row(Motzkin(), None, np.array([0.1, 0.9, 0.4]),
                                   *uniform_weights(3), rng_with(0))
         assert (i, low, high) == (1, None, None)
 
     def test_motzkin_tie_smallest_index(self):
-        i, _, _ = select_row(Motzkin(), np.array([0.4, 0.9, 0.9]), *uniform_weights(3), rng_with(0))
+        i, _, _ = select_row(Motzkin(), None, np.array([0.4, 0.9, 0.9]), *uniform_weights(3),
+                             rng_with(0))
         assert i == 1
 
     def test_dqrk_uniform_over_band(self):
         residuals = np.array([0.5, 0.4, 0.3, 0.2, 0.1])
         rng = rng_with(5)
+        kind = DQRK(0.2, 0.8)
         counts = np.zeros(5)
         for _ in range(100_000):
-            i, low, high = select_row(DQRK(0.2, 0.8), residuals, *uniform_weights(5), rng)
+            i, low, high = select_row(kind, kind.ranks(5), residuals, *uniform_weights(5), rng)
             counts[i] += 1
         freqs = counts / counts.sum()
         assert freqs[0] == 0.0 and freqs[4] == 0.0
@@ -223,7 +266,9 @@ class TestSelectRow:
 
     def test_dqrk_thresholds_reported(self):
         residuals = np.array([0.5, 0.4, 0.3, 0.2, 0.1])
-        _, low, high = select_row(DQRK(0.2, 0.8), residuals, *uniform_weights(5), rng_with(6))
+        kind = DQRK(0.2, 0.8)
+        _, low, high = select_row(kind, kind.ranks(5), residuals, *uniform_weights(5),
+                                  rng_with(6))
         assert low == pytest.approx(0.1)
         assert high == pytest.approx(0.4)
 
@@ -231,19 +276,25 @@ class TestSelectRow:
         rng = np.random.default_rng(7)
         residuals = rng.uniform(size=10)  # unique max almost surely
         m = residuals.size
-        i_rq, _, _ = select_row(RQRK((m - 1) / m), residuals, *uniform_weights(m), rng_with(8))
-        i_mz, _, _ = select_row(Motzkin(), residuals, *uniform_weights(m), rng_with(9))
+        kind = RQRK((m - 1) / m)
+        i_rq, low, high = select_row(kind, kind.ranks(m), residuals, *uniform_weights(m),
+                                     rng_with(8))
+        i_mz, _, _ = select_row(Motzkin(), None, residuals, *uniform_weights(m), rng_with(9))
         assert i_rq == i_mz == int(np.argmax(residuals))
+        # rqrk's set is bounded below by the q-quantile and unbounded above
+        assert (low, high) == (np.sort(residuals)[m - 2], None)
 
     def test_rqrk_empty_upper_block(self):
-        with pytest.raises(EmptyAdmissibleSetError):
-            select_row(RQRK(0.9), np.arange(4.0), *uniform_weights(4), rng_with(10))
+        # round(0.9*4) = 4 leaves no row above the quantile
+        with pytest.raises(InvalidQuantilesError,
+                           match=r"rqrk needs 1/m <= q <= \(m-1\)/m, got q=0.9 with m=4"):
+            RQRK(0.9).ranks(4)
 
     def test_containment_dqrk_within_qrk(self):
         rng = np.random.default_rng(11)
         residuals = rng.uniform(size=20)
-        qrk_set = set(partition_two_sided(residuals, q1=0.8).admissible.tolist())
-        dqrk_set = set(partition_two_sided(residuals, q1=0.8, q0=0.3).admissible.tolist())
+        qrk_set = set(partition_two_sided(residuals, *QRK(0.8).ranks(20))[0].tolist())
+        dqrk_set = set(partition_two_sided(residuals, *DQRK(0.3, 0.8).ranks(20))[0].tolist())
         assert dqrk_set <= qrk_set
 
 
@@ -465,11 +516,13 @@ class TestContractionAgainstTheory:
         base = system.sq_error(x)
 
         residuals = np.abs(a @ x - b)
+        kind = RQRK(0.5)
+        ranks = kind.ranks(16)
         rng = rng_with(51)
         trials = 100_000
         ratios = np.empty(trials)
         for t in range(trials):
-            i, _, _ = select_row(RQRK(0.5), residuals, *uniform_weights(16), rng)
+            i, _, _ = select_row(kind, ranks, residuals, *uniform_weights(16), rng)
             x_next = x + ((b[i] - a[i] @ x)) * a[i]
             ratios[t] = system.sq_error(x_next) / base
 
@@ -515,8 +568,7 @@ class TestContractionAgainstTheory:
         assert np.unique(np.round(f, 12)).size >= 2
 
         residuals = np.abs(a @ x - b)
-        part = partition_two_sided(residuals, q1=0.5)
-        upper = part.upper
+        upper, _, _ = partition_two_sided(residuals, *RQRK(0.5).ranks(12))
         exp_rqrk = f[upper].mean()          # uniform: rows are normalized
         exp_rk = f.mean()
         assert exp_rqrk > exp_rk
