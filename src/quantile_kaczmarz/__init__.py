@@ -76,10 +76,7 @@ from .solver import (
     solve,
 )
 from .spectral import (
-    SpectralEntry,
-    SpectralProfile,
     leave_one_out_sigma_min,
-    spectral_profile,
     subset_sigma_min,
     subset_sigma_min_sampled,
 )

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
@@ -33,10 +32,8 @@ class BoundReport:
     first step and the contraction factor afterwards.
     """
 
-    method: str
     per_step_factor: float
     sufficient_condition_holds: bool | None
-    inputs: Mapping[str, float]
     first_step_factor: float | None = None
 
     def envelope(self, k: int) -> float:
@@ -102,10 +99,8 @@ def rqrk_bound(
     base = rk_factor(sigma_min, frob_sq)
     factor = base - (sigma_q_min**2 / (q * m)) * (min_ratio / max_sq)
     return BoundReport(
-        method="rqrk",
         per_step_factor=factor,
         sufficient_condition_holds=None,
-        inputs={"sigma_min": sigma_min, "sigma_q_min": sigma_q_min, "q": q, "m": m},
         first_step_factor=None if hyperplane_start else base,
     )
 
@@ -128,11 +123,8 @@ def qrk_bound(sigma_max: float, sigma_q_beta_min: float,
     c = (q - beta) * sigma_q_beta_min**2 / (q * q * m) - sigma_max**2 * penalty / (q * m)
     holds = (q / (q - beta)) * penalty < sigma_q_beta_min**2 / sigma_max**2
     return BoundReport(
-        method="qrk",
         per_step_factor=1.0 - c,
         sufficient_condition_holds=bool(holds),
-        inputs={"sigma_max": sigma_max, "sigma_q_beta_min": sigma_q_beta_min,
-                "q": q, "beta": beta, "m": m},
     )
 
 
@@ -175,12 +167,8 @@ def dqrk_bound(
         sigma_q1_beta_min**2 + sigma_q0_beta_min**2 / (q0 * m)
     ) / sigma_max**2
     return BoundReport(
-        method="dqrk",
         per_step_factor=1.0 - c,
         sufficient_condition_holds=bool(holds),
-        inputs={"sigma_max": sigma_max, "sigma_q1_beta_min": sigma_q1_beta_min,
-                "sigma_q0_beta_min": sigma_q0_beta_min,
-                "q0": q0, "q1": q1, "beta": beta, "m": m},
     )
 
 

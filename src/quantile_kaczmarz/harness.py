@@ -417,13 +417,13 @@ def _x0_dict(policy: X0Policy):
     return "origin"
 
 
-def parse_x0(text) -> X0Policy:
+def parse_x0(text: str) -> X0Policy:
     """Parse an x0 policy: "origin", "hyperplane" or "hyperplane:<row>"."""
     if text == "origin":
         return Origin()
     if text == "hyperplane":
         return OnHyperplane()
-    if isinstance(text, str) and text.startswith("hyperplane:"):
+    if text.startswith("hyperplane:"):
         return OnHyperplane(row=int(text.split(":", 1)[1]))
     raise ValueError(f"unknown x0 policy {text!r}")
 
@@ -465,71 +465,82 @@ def spec_to_dict(spec: ExperimentSpec) -> dict:
     }
 
 
-def _integer(data: dict, key: str, default: int | None = None) -> int:
-    """``data[key]`` (``default`` if absent) as an int; JSON's 3.0 counts, 2.7 and true do not."""
-    value = data[key] if default is None else data.get(key, default)
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"{key!r} must be an integer, got {value!r}")
-    return value
+_REQUIRED = object()
+_KIND_NAMES = {int: "an integer", float: "a number", bool: "true or false", str: "a string"}
 
 
-def _boolean(data: dict, key: str, default: bool) -> bool:
-    value = data.get(key, default)
-    if not isinstance(value, bool):
-        raise ValueError(f"{key!r} must be true or false, got {value!r}")
-    return value
+def _read(data: dict, key: str, kind: type, default=_REQUIRED):
+    """``data[key]`` (``default`` if absent) checked as ``kind``: int, float, bool or str.
+
+    JSON has one number type, so 3.0 counts as an int but 2.7 does not, and a
+    float field takes any number and returns it as a float; true and false
+    are only booleans. A null passes only where the default is None.
+    """
+    value = data[key] if default is _REQUIRED else data.get(key, default)
+    if value is None and default is None:
+        return None
+    if isinstance(value, bool) == (kind is bool):
+        if kind is int and isinstance(value, float) and value.is_integer():
+            return int(value)
+        if kind is float and isinstance(value, (int, float)):
+            return float(value)
+        if isinstance(value, kind):
+            return value
+    raise ValueError(f"{key!r} must be {_KIND_NAMES[kind]}, got {value!r}")
 
 
 def spec_from_dict(data: dict) -> ExperimentSpec:
     """Parse the documented experiment JSON schema; a mistyped value raises ValueError."""
     problem_data = data["problem"]
     source_data = problem_data["source"]
-    if source_data.get("kind", "generated") == "file":
-        source = FileSource(path=source_data["path"])
-    else:
+    kind = _read(source_data, "kind", str, "generated")
+    if kind == "file":
+        source = FileSource(path=_read(source_data, "path", str))
+    elif kind == "generated":
         source = GeneratedSource(
-            dist=source_data["dist"], m=_integer(source_data, "m"),
-            n=_integer(source_data, "n"), seed=_integer(source_data, "seed", 0),
+            dist=_read(source_data, "dist", str), m=_read(source_data, "m", int),
+            n=_read(source_data, "n", int), seed=_read(source_data, "seed", int, 0),
         )
+    else:
+        raise ValueError(f"unknown source kind {kind!r}")
     corruption_data = problem_data.get("corruption")
     corruption = None
     if corruption_data is not None:
         corruption = CorruptionSpec(
-            beta=float(corruption_data["beta"]),
-            low=float(corruption_data.get("low", 0.0)),
-            high=float(corruption_data.get("high", 1.0)),
-            scale=float(corruption_data.get("scale", 1.0)),
-            seed=_integer(corruption_data, "seed", 0),
+            beta=_read(corruption_data, "beta", float),
+            low=_read(corruption_data, "low", float, 0.0),
+            high=_read(corruption_data, "high", float, 1.0),
+            scale=_read(corruption_data, "scale", float, 1.0),
+            seed=_read(corruption_data, "seed", int, 0),
         )
     problem = ProblemSpec(
         source=source,
-        normalize=_boolean(problem_data, "normalize", True),
+        normalize=_read(problem_data, "normalize", bool, True),
         corruption=corruption,
-        solution_seed=_integer(problem_data, "solution_seed", 0),
+        solution_seed=_read(problem_data, "solution_seed", int, 0),
     )
     runs = []
     for entry in data["runs"]:
-        selector = parse_selector(entry["method"], q=entry.get("q"),
-                                  q0=entry.get("q0"), q1=entry.get("q1"))
+        selector = parse_selector(_read(entry, "method", str), q=_read(entry, "q", float, None),
+                                  q0=_read(entry, "q0", float, None),
+                                  q1=_read(entry, "q1", float, None))
         stop_data = entry.get("stop")
         stop = None
         if stop_data is not None:
             stop = StopRule(
-                target_sq_error=stop_data.get("target_sq_error"),
-                residual_norm=stop_data.get("residual_norm"),
+                target_sq_error=_read(stop_data, "target_sq_error", float, None),
+                residual_norm=_read(stop_data, "residual_norm", float, None),
             )
-        runs.append(RunSpec(label=entry["label"], selector=selector,
-                            max_iters=_integer(entry, "iters"), stop=stop,
-                            x0=parse_x0(entry.get("x0", "origin"))))
+        runs.append(RunSpec(label=_read(entry, "label", str), selector=selector,
+                            max_iters=_read(entry, "iters", int), stop=stop,
+                            x0=parse_x0(_read(entry, "x0", str, "origin"))))
     return ExperimentSpec(
         problem=problem,
         runs=tuple(runs),
-        trials=_integer(data, "trials", 1),
-        seed=_integer(data, "seed", 0),
-        record_every=_integer(data, "record_every", 1),
-        fresh_problem_per_trial=_boolean(data, "fresh_problem_per_trial", True),
+        trials=_read(data, "trials", int, 1),
+        seed=_read(data, "seed", int, 0),
+        record_every=_read(data, "record_every", int, 1),
+        fresh_problem_per_trial=_read(data, "fresh_problem_per_trial", bool, True),
     )
 
 

@@ -62,7 +62,12 @@ class GeneratedSource:
 
 @dataclass(frozen=True)
 class FileSource:
-    path: str | Path
+    """A Matrix Market file; ``path`` is held as a Path whether given as str or Path."""
+
+    path: Path
+
+    def __post_init__(self):
+        object.__setattr__(self, "path", Path(self.path))
 
 
 @dataclass(frozen=True)

@@ -40,14 +40,13 @@ n eps sigma_max^2 / sigma below that.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations, islice
 
 import numpy as np
 import scipy.linalg
 
 from .errors import BudgetExceededError
-from .linalg import as_matrix, extreme_singular_values
+from .linalg import as_matrix
 from .quantiles import round_half_up
 
 DEFAULT_SUBSET_BUDGET = 1_000_000
@@ -201,51 +200,3 @@ def subset_sigma_min_sampled(a: np.ndarray, alpha: float, trials: int, seed: int
     rng = np.random.Generator(np.random.PCG64(seed))
     return _subset_sigma_min(a, s, (rng.choice(m, size=s, replace=False) for _ in range(trials)))
 
-
-@dataclass(frozen=True)
-class SpectralEntry:
-    alpha: float
-    value: float
-    mode: str  # "exact" or "sampled"
-    trials: int | None = None
-
-
-@dataclass(frozen=True)
-class SpectralProfile:
-    """Extreme singular values plus subset minima at requested alpha levels."""
-
-    sigma_min: float
-    sigma_max: float
-    entries: tuple[SpectralEntry, ...]
-
-    def value_at(self, alpha: float) -> float:
-        for entry in self.entries:
-            if abs(entry.alpha - alpha) <= 1e-12:
-                return entry.value
-        raise KeyError(f"no entry for alpha={alpha}")
-
-
-def spectral_profile(
-    a: np.ndarray,
-    alphas,
-    subset_budget: int = DEFAULT_SUBSET_BUDGET,
-    sample_trials: int = 2000,
-    seed: int = 0,
-) -> SpectralProfile:
-    """Profile a matrix at several alpha levels.
-
-    Uses exact enumeration where it fits the budget and falls back to
-    sampled upper bounds (flagged in the entry mode) elsewhere.
-    """
-    a = as_matrix(a)
-    smin, smax = extreme_singular_values(a)
-    entries = []
-    for alpha in alphas:
-        try:
-            value = subset_sigma_min(a, alpha, subset_budget=subset_budget)
-            entries.append(SpectralEntry(alpha=float(alpha), value=value, mode="exact"))
-        except BudgetExceededError:
-            value = subset_sigma_min_sampled(a, alpha, trials=sample_trials, seed=seed)
-            entries.append(SpectralEntry(alpha=float(alpha), value=value,
-                                         mode="sampled", trials=sample_trials))
-    return SpectralProfile(sigma_min=smin, sigma_max=smax, entries=tuple(entries))

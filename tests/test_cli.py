@@ -166,8 +166,24 @@ class TestExperiment:
         (lambda s: s["problem"]["source"].update(m=40.5), "'m' must be an integer, got 40.5"),
         (lambda s: s["runs"].append({"label": "bad", "method": "rk", "iters": -1}),
          "run 'bad': iters must be >= 0, got -1"),
+        (lambda s: s["runs"].append({"label": "q", "method": "qrk", "q": "0.8", "iters": 30}),
+         "'q' must be a number, got '0.8'"),
+        (lambda s: s["problem"].update(corruption={"beta": "0.1"}),
+         "'beta' must be a number, got '0.1'"),
+        (lambda s: s["runs"][0].update(label=5), "'label' must be a string, got 5"),
+        (lambda s: s["runs"][0].update(method=5), "'method' must be a string, got 5"),
+        (lambda s: s["runs"][0].update(stop={"target_sq_error": "1e-8"}),
+         "'target_sq_error' must be a number, got '1e-8'"),
+        (lambda s: s["runs"].append({"label": "d", "method": "dqrk", "q0": True, "q1": 0.8,
+                                     "iters": 30}),
+         "'q0' must be a number, got True"),
+        (lambda s: s["runs"][0].update(x0=None), "'x0' must be a string, got None"),
+        (lambda s: s["problem"].update(source={"kind": "file", "path": 5}),
+         "'path' must be a string, got 5"),
+        (lambda s: s["problem"]["source"].update(kind="files"), "unknown source kind 'files'"),
     ], ids=["normalize-string", "fresh-int", "trials-fraction", "seed-bool", "m-fraction",
-            "negative-iters-after-valid-run"])
+            "negative-iters-after-valid-run", "q-string", "beta-string", "label-int",
+            "method-int", "stop-string", "q0-bool", "x0-null", "path-int", "unknown-kind"])
     def test_bad_spec_value_exits_2_before_any_solve(self, tmp_path, capsys, monkeypatch,
                                                      edit, message):
         solves = []

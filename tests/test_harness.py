@@ -4,15 +4,21 @@ import io
 import json
 import statistics
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quantile_kaczmarz import (
     DQRK,
     DenseSystem,
     ExperimentSpec,
+    FileSource,
     Motzkin,
+    OnHyperplane,
+    Origin,
     QRK,
     RK,
     RQRK,
@@ -57,6 +63,32 @@ def small_spec(**overrides):
     )
     base.update(overrides)
     return ExperimentSpec(**base)
+
+
+def _specs():
+    """Experiment specs over both sources, every selector, x0 policy, stop rule
+    and corruption; file paths come as str or Path."""
+    seeds = st.integers(0, 2**63 - 1)
+    reals = st.floats(-1e6, 1e6, allow_nan=False)
+    fractions = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+    generated = st.builds(lambda dist, n, extra, seed: GeneratedSource(dist, n + extra, n, seed),
+                          st.sampled_from(["gaussian", "uniform"]), st.integers(1, 50),
+                          st.integers(1, 50), seeds)
+    file = st.builds(FileSource, st.one_of(st.text(min_size=1), st.text(min_size=1).map(Path)))
+    corruption = st.one_of(st.none(), st.tuples(
+        st.floats(0.0, 1.0, exclude_max=True), reals, reals, reals, seeds).map(
+            lambda t: CorruptionSpec(t[0], min(t[1:3]), max(t[1:3]), t[3], t[4])))
+    problem = st.builds(ProblemSpec, st.one_of(generated, file), st.booleans(), corruption,
+                        seeds)
+    band = st.tuples(fractions, fractions).filter(lambda t: t[0] != t[1]).map(sorted)
+    selector = st.one_of(st.just(RK()), st.just(Motzkin()), fractions.map(QRK),
+                         fractions.map(RQRK), band.map(lambda t: DQRK(*t)))
+    stop = st.one_of(st.none(), st.builds(StopRule, st.none() | reals, st.none() | reals))
+    x0 = st.one_of(st.just(Origin()), st.builds(OnHyperplane, st.none() | st.integers(0, 10**6)))
+    run = st.builds(RunSpec, st.text(), selector, st.integers(0, 10**6), stop, x0)
+    runs = st.lists(run, min_size=1, max_size=6, unique_by=lambda r: r.label)
+    return st.builds(ExperimentSpec, problem, runs, st.integers(1, 100), seeds,
+                     st.integers(1, 100), st.booleans())
 
 
 def _cell(value) -> str:
@@ -277,6 +309,11 @@ class TestArtifacts:
             RunSpec(label="motzkin", selector=Motzkin(), max_iters=10),
         ))
         assert spec_from_dict(spec_to_dict(spec)) == spec
+
+    @settings(max_examples=100, deadline=None)
+    @given(spec=_specs())
+    def test_spec_json_roundtrip(self, spec):
+        assert spec_from_dict(json.loads(json.dumps(spec_to_dict(spec)))) == spec
 
     def test_integral_floats_are_integers(self):
         # JSON has one number type; 2.0 is as integral as 2

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from quantile_kaczmarz import (
     BudgetExceededError,
     leave_one_out_sigma_min,
-    spectral_profile,
     subset_sigma_min,
     subset_sigma_min_sampled,
 )
@@ -286,25 +285,3 @@ class TestSampled:
         # gathering per-row outer products as a (trials, s, n, n) array takes 268 MiB here
         assert peak < 32 * 2**20
 
-
-class TestSpectralProfile:
-    def test_modes_and_values(self):
-        rng = np.random.default_rng(39)
-        a = rng.normal(size=(8, 2))
-        profile = spectral_profile(a, alphas=[0.5, 1.0], subset_budget=1000)
-        assert {e.mode for e in profile.entries} == {"exact"}
-        assert profile.value_at(1.0) == pytest.approx(profile.sigma_min, abs=1e-9)
-        assert profile.sigma_min <= profile.sigma_max
-
-    def test_falls_back_to_sampled(self):
-        rng = np.random.default_rng(40)
-        a = rng.normal(size=(30, 2))
-        profile = spectral_profile(a, alphas=[0.5], subset_budget=100, sample_trials=8)
-        entry = profile.entries[0]
-        assert entry.mode == "sampled"
-        assert entry.trials == 8
-
-    def test_unknown_alpha_raises(self):
-        profile = spectral_profile(np.eye(3), alphas=[1.0])
-        with pytest.raises(KeyError):
-            profile.value_at(0.25)
