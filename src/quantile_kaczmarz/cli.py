@@ -131,6 +131,13 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _report_failures(failures: dict[tuple[str, int], str]) -> int:
+    """Print one FAILED line per failed (label, trial) to stderr; return the exit code."""
+    for (label, trial), message in sorted(failures.items()):
+        print(f"{label} trial {trial}: FAILED {message}", file=sys.stderr)
+    return RUNTIME_ERROR if failures else 0
+
+
 def _cmd_solve(args) -> int:
     selector = parse_selector(args.method, q=args.q, q0=args.q0, q1=args.q1)
     stop = StopRule(target_sq_error=args.threshold) if args.threshold is not None else None
@@ -149,10 +156,8 @@ def _cmd_solve(args) -> int:
         err = "" if last.sq_error is None else f" sq_error={last.sq_error:.3e}"
         print(f"{label} trial {trial}: {trace.iterations} iterations "
               f"({trace.termination}){err}")
-    for (label, trial), message in sorted(result.failures.items()):
-        print(f"{label} trial {trial}: FAILED {message}", file=sys.stderr)
     print(f"wrote {paths['trajectory']} and {paths['summary']}")
-    return 0 if not result.failures else RUNTIME_ERROR
+    return _report_failures(result.failures)
 
 
 def _cmd_experiment(args) -> int:
@@ -162,9 +167,7 @@ def _cmd_experiment(args) -> int:
     paths = emit_artifacts(result, args.out)
     print(f"{len(result.traces)} runs completed, {len(result.failures)} failed; "
           f"wrote {paths['trajectory']} and {paths['summary']}")
-    for (label, trial), message in sorted(result.failures.items()):
-        print(f"{label} trial {trial}: FAILED {message}", file=sys.stderr)
-    return 0 if not result.failures else RUNTIME_ERROR
+    return _report_failures(result.failures)
 
 
 def _cmd_diagnose(args) -> int:
@@ -183,21 +186,23 @@ def _cmd_diagnose(args) -> int:
 
 def _cmd_bench(args) -> int:
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    runs = []
-    for method in methods:
-        selector = parse_selector(method, q=args.q, q0=args.q0, q1=args.q1)
-        runs.append(RunSpec(label=method, selector=selector, max_iters=args.iters))
-    report = cost_parity_benchmark(_problem_from_args(args), runs,
-                                   iters=args.iters, repeats=args.repeats,
-                                   seed=args.seed)
+    spec = ExperimentSpec(
+        problem=_problem_from_args(args),
+        runs=tuple(RunSpec(label=method, max_iters=args.iters,
+                           selector=parse_selector(method, q=args.q, q0=args.q0, q1=args.q1))
+                   for method in methods),
+        trials=args.repeats,
+        seed=args.seed,
+    )
+    report = cost_parity_benchmark(spec)
     out = args.out / f"bench.{args.format}"
     write_table(report.rows, BenchRow, out, fmt=args.format)
     for row in report.rows:
         print(f"{row.label}: {row.seconds_median:.4f} s for {row.iters} iterations")
-    if "qrk" in methods and "dqrk" in methods:
+    if {"qrk", "dqrk"} <= {row.label for row in report.rows}:
         print(f"dqrk/qrk wall-clock ratio: {report.ratio('dqrk', 'qrk'):.3f}")
     print(f"wrote {out}")
-    return 0
+    return _report_failures(report.failures)
 
 
 def _cmd_threshold(args) -> int:
@@ -209,11 +214,10 @@ def _cmd_threshold(args) -> int:
     for r in results:
         med = "n/a" if r.median_iterations is None else f"{r.median_iterations:.0f}"
         print(f"{r.label}: reached {r.reached_fraction:.0%}, median iterations {med}")
-        for trial, message in enumerate(r.failures):
-            if message is not None:
-                print(f"{r.label} trial {trial}: FAILED {message}", file=sys.stderr)
     print(f"wrote {out}")
-    return RUNTIME_ERROR if any(r.failed for r in results) else 0
+    return _report_failures({(r.label, trial): message for r in results
+                             for trial, message in enumerate(r.failures)
+                             if message is not None})
 
 
 _COMMANDS = {

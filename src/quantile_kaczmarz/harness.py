@@ -269,6 +269,7 @@ class BenchRow:
 @dataclass(frozen=True)
 class BenchReport:
     rows: tuple[BenchRow, ...]
+    failures: dict[tuple[str, int], str]
 
     def seconds(self, label: str) -> float:
         for row in self.rows:
@@ -280,44 +281,31 @@ class BenchReport:
         return self.seconds(label_a) / self.seconds(label_b)
 
 
-def cost_parity_benchmark(
-    problem: ProblemSpec,
-    runs,
-    iters: int,
-    repeats: int = 5,
-    seed: int = 0,
-) -> BenchReport:
-    """Median-of-``repeats`` wall-clock for exactly ``iters`` iterations.
+def cost_parity_benchmark(spec: ExperimentSpec) -> BenchReport:
+    """Median-of-``spec.trials`` wall-clock for exactly each run's ``max_iters``.
 
-    Recording is disabled. Every run gets one warmup pass, then the repeats
-    go round-robin across the runs (repeat 1 of each run, then repeat 2, and
-    so on), so a drift in host speed over the benchmark hits every run alike
-    instead of showing up as a ratio between runs.
+    The solves are ``run_experiment``'s with recording off, no stop rules, one
+    problem for every trial and an untimed warmup trial 0 in front. Every run
+    of a trial is solved before the next trial, so after one warmup per run
+    the timed solves go round-robin across the runs, and a drift in host speed
+    hits every run alike instead of showing up as a ratio between runs. A run
+    with a failed trial gets no row; ``failures`` is ``run_experiment``'s,
+    warmup included.
     """
-    if iters < 1:
+    if any(run.max_iters < 1 for run in spec.runs):
         raise ValueError("iters must be >= 1")
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
-    labels = [run.label for run in runs]
-    if not labels:
-        raise ValueError("at least one run is required")
-    if len(set(labels)) != len(labels):
-        raise ValueError("run labels must be unique")
-    system = generate_system(problem)
-    jobs = [(run.label, SolverConfig(selector=run.selector, max_iters=iters,
-                                     seed=derive_seed(seed, run.label, 0), x0=run.x0), [])
-            for run in runs]
-    for _, config, _ in jobs:
-        solve(system, config, record=False)  # warmup
-    for _ in range(repeats):
-        for _, config, times in jobs:
-            start = time.perf_counter()
-            solve(system, config, record=False)
-            times.append(time.perf_counter() - start)
-    return BenchReport(rows=tuple(
-        BenchRow(label=label, iters=iters, seconds=tuple(times),
-                 seconds_median=float(statistics.median(times)))
-        for label, _, times in jobs))
+    result = run_experiment(dataclasses.replace(
+        spec, trials=spec.trials + 1, fresh_problem_per_trial=False,
+        runs=tuple(dataclasses.replace(run, stop=None) for run in spec.runs)),
+        record=False)
+    failed = {label for label, _ in result.failures}
+    rows = []
+    for run in spec.runs:
+        times = tuple(result.seconds[(run.label, t)] for t in range(1, spec.trials + 1))
+        if run.label not in failed:
+            rows.append(BenchRow(label=run.label, iters=run.max_iters, seconds=times,
+                                 seconds_median=float(statistics.median(times))))
+    return BenchReport(rows=tuple(rows), failures=result.failures)
 
 
 # --------------------------------------------------------------------------
@@ -466,11 +454,12 @@ def spec_to_dict(spec: ExperimentSpec) -> dict:
 
 
 _REQUIRED = object()
-_KIND_NAMES = {int: "an integer", float: "a number", bool: "true or false", str: "a string"}
+_KIND_NAMES = {int: "an integer", float: "a number", bool: "true or false", str: "a string",
+               dict: "an object", list: "a list"}
 
 
 def _read(data: dict, key: str, kind: type, default=_REQUIRED):
-    """``data[key]`` (``default`` if absent) checked as ``kind``: int, float, bool or str.
+    """``data[key]`` (``default`` if absent) checked as ``kind``, a key of ``_KIND_NAMES``.
 
     JSON has one number type, so 3.0 counts as an int but 2.7 does not, and a
     float field takes any number and returns it as a float; true and false
@@ -491,8 +480,9 @@ def _read(data: dict, key: str, kind: type, default=_REQUIRED):
 
 def spec_from_dict(data: dict) -> ExperimentSpec:
     """Parse the documented experiment JSON schema; a mistyped value raises ValueError."""
-    problem_data = data["problem"]
-    source_data = problem_data["source"]
+    data = _read({"spec": data}, "spec", dict)
+    problem_data = _read(data, "problem", dict)
+    source_data = _read(problem_data, "source", dict)
     kind = _read(source_data, "kind", str, "generated")
     if kind == "file":
         source = FileSource(path=_read(source_data, "path", str))
@@ -503,7 +493,7 @@ def spec_from_dict(data: dict) -> ExperimentSpec:
         )
     else:
         raise ValueError(f"unknown source kind {kind!r}")
-    corruption_data = problem_data.get("corruption")
+    corruption_data = _read(problem_data, "corruption", dict, None)
     corruption = None
     if corruption_data is not None:
         corruption = CorruptionSpec(
@@ -520,11 +510,12 @@ def spec_from_dict(data: dict) -> ExperimentSpec:
         solution_seed=_read(problem_data, "solution_seed", int, 0),
     )
     runs = []
-    for entry in data["runs"]:
+    for i, entry in enumerate(_read(data, "runs", list)):
+        entry = _read({f"runs[{i}]": entry}, f"runs[{i}]", dict)
         selector = parse_selector(_read(entry, "method", str), q=_read(entry, "q", float, None),
                                   q0=_read(entry, "q0", float, None),
                                   q1=_read(entry, "q1", float, None))
-        stop_data = entry.get("stop")
+        stop_data = _read(entry, "stop", dict, None)
         stop = None
         if stop_data is not None:
             stop = StopRule(

@@ -74,12 +74,11 @@ class TestErrorLine:
     """Every error that escapes a subcommand prints ``error: <Type>: <message>``."""
 
     @pytest.mark.parametrize("argv, line", [
-        (["bench", "--m", "4", "--n", "2", "--q0", "0.3", "--q1", "0.35",
-          "--methods", "qrk,dqrk", "--iters", "10", "--repeats", "1"],
-         "error: InvalidQuantilesError: admissible block is empty"),
+        (["solve", "--method", "dqrk", "--m", "40", "--n", "5"],
+         "error: InvalidQuantilesError: dqrk needs --q0 and --q1"),
         (["solve", "--method", "rk"],
          "error: QuantileKaczmarzError: either --matrix or both --m and --n are required"),
-    ], ids=["empty-band", "no-problem"])
+    ], ids=["dqrk-without-band", "no-problem"])
     def test_package_errors_print_their_type(self, tmp_path, capsys, argv, line):
         assert run_cli(*argv, "--out", str(tmp_path)) == 2
         assert line in capsys.readouterr().err
@@ -181,9 +180,20 @@ class TestExperiment:
         (lambda s: s["problem"].update(source={"kind": "file", "path": 5}),
          "'path' must be a string, got 5"),
         (lambda s: s["problem"]["source"].update(kind="files"), "unknown source kind 'files'"),
+        (lambda s: [1, 2], "'spec' must be an object, got [1, 2]"),
+        (lambda s: s.update(problem=[]), "'problem' must be an object, got []"),
+        (lambda s: s["problem"].update(source="gaussian"),
+         "'source' must be an object, got 'gaussian'"),
+        (lambda s: s["problem"].update(corruption=0.1), "'corruption' must be an object, got 0.1"),
+        (lambda s: s["runs"][0].update(stop=1e-8), "'stop' must be an object, got 1e-08"),
+        (lambda s: s.update(runs={"label": "rk", "method": "rk", "iters": 30}),
+         "'runs' must be a list, got {"),
+        (lambda s: s["runs"].append("rk"), "'runs[1]' must be an object, got 'rk'"),
     ], ids=["normalize-string", "fresh-int", "trials-fraction", "seed-bool", "m-fraction",
             "negative-iters-after-valid-run", "q-string", "beta-string", "label-int",
-            "method-int", "stop-string", "q0-bool", "x0-null", "path-int", "unknown-kind"])
+            "method-int", "stop-string", "q0-bool", "x0-null", "path-int", "unknown-kind",
+            "spec-list", "problem-list", "source-string", "corruption-number", "stop-number",
+            "runs-object", "run-string"])
     def test_bad_spec_value_exits_2_before_any_solve(self, tmp_path, capsys, monkeypatch,
                                                      edit, message):
         solves = []
@@ -196,7 +206,7 @@ class TestExperiment:
             },
             "runs": [{"label": "rk", "method": "rk", "iters": 30}],
         }
-        edit(spec)
+        spec = edit(spec) or spec  # an edit changes the spec in place or returns a new one
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps(spec))
         code = run_cli("experiment", str(spec_path), "--out", str(tmp_path / "out"))
@@ -244,6 +254,16 @@ class TestBenchAndThreshold:
         with open(tmp_path / "bench.csv") as fh:
             labels = [r["label"] for r in csv.DictReader(fh)]
         assert labels == ["qrk", "dqrk"]
+
+    def test_bench_zero_repeats_exits_2_before_any_solve(self, tmp_path, capsys, monkeypatch):
+        solves = []
+        monkeypatch.setattr(harness, "solve", lambda *args, **kw: solves.append(args))
+        code = run_cli("bench", "--m", "40", "--n", "4", "--iters", "10", "--repeats", "0",
+                       "--out", str(tmp_path))
+        assert code == 2
+        assert "error: ValueError: trials must be >= 1" in capsys.readouterr().err
+        assert solves == []
+        assert not (tmp_path / "bench.csv").exists()
 
     def test_threshold(self, tmp_path, capsys):
         spec = {
@@ -351,8 +371,10 @@ class TestEmptyBand:
                        "--out", str(tmp_path))
         assert code == 2
         captured = capsys.readouterr()
-        assert "admissible block is empty" in captured.err
-        assert "ratio" not in captured.out
+        assert f"dqrk trial 0: {self.FAILED}" in captured.err
+        with open(tmp_path / "bench.csv") as fh:
+            assert [row["label"] for row in csv.DictReader(fh)] == ["qrk"]
+        assert "dqrk/qrk wall-clock ratio" not in captured.out
 
 
 class TestBenchMethods:

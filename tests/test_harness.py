@@ -2,8 +2,6 @@ import csv
 import dataclasses
 import io
 import json
-import statistics
-import time
 from pathlib import Path
 
 import numpy as np
@@ -390,12 +388,16 @@ class TestThreshold:
 
 
 class TestBench:
+    PROBLEM = ProblemSpec(source=GeneratedSource("uniform", 60, 6, seed=16),
+                          normalize=True, solution_seed=17)
+
     def test_rows_and_rk_cheaper_than_qrk(self, tmp_path):
         problem = ProblemSpec(source=GeneratedSource("uniform", 400, 40, seed=12),
                               normalize=True, solution_seed=13)
-        runs = [RunSpec(label="rk", selector=RK(), max_iters=1),
-                RunSpec(label="qrk", selector=QRK(0.8), max_iters=1)]
-        report = cost_parity_benchmark(problem, runs, iters=300, repeats=3, seed=1)
+        runs = [RunSpec(label="rk", selector=RK(), max_iters=300),
+                RunSpec(label="qrk", selector=QRK(0.8), max_iters=300)]
+        report = cost_parity_benchmark(ExperimentSpec(problem, runs, trials=3, seed=1))
+        assert report.failures == {}
         assert report.seconds("rk") > 0
         # no residuals and no quantile pass: plain sampling must be cheaper
         assert report.seconds("rk") < report.seconds("qrk")
@@ -408,28 +410,40 @@ class TestBench:
         # a host that slows down halfway must slow every run alike
         calls = []
 
-        def spy(system, config, record=True):
+        def spy(system, config, record_every=1, record=True):
             calls.append(config.selector.name)
-            return solve(system, config, record=record)
+            return solve(system, config, record_every=record_every, record=record)
 
         monkeypatch.setattr(harness, "solve", spy)
-        problem = ProblemSpec(source=GeneratedSource("uniform", 60, 6, seed=16),
-                              normalize=True, solution_seed=17)
-        runs = [RunSpec(label="qrk", selector=QRK(0.8), max_iters=1),
-                RunSpec(label="dqrk", selector=DQRK(0.6, 0.8), max_iters=1)]
-        report = cost_parity_benchmark(problem, runs, iters=5, repeats=3, seed=3)
+        runs = [RunSpec(label="qrk", selector=QRK(0.8), max_iters=5),
+                RunSpec(label="dqrk", selector=DQRK(0.6, 0.8), max_iters=5)]
+        report = cost_parity_benchmark(ExperimentSpec(self.PROBLEM, runs, trials=3, seed=3))
         assert calls == ["qrk", "dqrk"] * 4
         assert [row.label for row in report.rows] == ["qrk", "dqrk"]
         assert all(len(row.seconds) == 3 for row in report.rows)
 
-    def test_zero_repeats_rejected_before_any_solve(self, monkeypatch):
+    def test_each_run_solves_its_own_iters_without_stopping(self, monkeypatch):
+        iterations = []
+
+        def spy(system, config, record_every=1, record=True):
+            trace = solve(system, config, record_every=record_every, record=record)
+            iterations.append((config.selector.name, trace.iterations, trace.termination))
+            return trace
+
+        monkeypatch.setattr(harness, "solve", spy)
+        stop = StopRule(target_sq_error=1e300)  # met before the first step
+        runs = [RunSpec(label="short", selector=RK(), max_iters=7, stop=stop),
+                RunSpec(label="long", selector=QRK(0.8), max_iters=11, stop=stop)]
+        report = cost_parity_benchmark(ExperimentSpec(self.PROBLEM, runs, trials=2))
+        assert iterations == [("rk", 7, "max_iters"), ("qrk", 11, "max_iters")] * 3
+        assert [(row.label, row.iters) for row in report.rows] == [("short", 7), ("long", 11)]
+
+    def test_zero_iters_rejected_before_any_solve(self, monkeypatch):
         calls = []
         monkeypatch.setattr(harness, "solve", lambda *args, **kwargs: calls.append(args))
-        problem = ProblemSpec(source=GeneratedSource("uniform", 60, 6, seed=16),
-                              normalize=True, solution_seed=17)
-        runs = [RunSpec(label="qrk", selector=QRK(0.8), max_iters=1)]
-        with pytest.raises(ValueError, match="repeats must be >= 1"):
-            cost_parity_benchmark(problem, runs, iters=5, repeats=0)
+        runs = [RunSpec(label="qrk", selector=QRK(0.8), max_iters=0)]
+        with pytest.raises(ValueError, match="iters must be >= 1"):
+            cost_parity_benchmark(ExperimentSpec(self.PROBLEM, runs))
         assert calls == []
 
     @pytest.mark.parametrize("labels, message", [
@@ -439,30 +453,18 @@ class TestBench:
     def test_bad_labels_rejected_before_any_solve(self, monkeypatch, labels, message):
         calls = []
         monkeypatch.setattr(harness, "solve", lambda *args, **kwargs: calls.append(args))
-        problem = ProblemSpec(source=GeneratedSource("uniform", 60, 6, seed=16),
-                              normalize=True, solution_seed=17)
-        runs = [RunSpec(label=label, selector=QRK(0.8), max_iters=1) for label in labels]
+        runs = [RunSpec(label=label, selector=QRK(0.8), max_iters=5) for label in labels]
         with pytest.raises(ValueError, match=message):
-            cost_parity_benchmark(problem, runs, iters=5, repeats=1)
+            cost_parity_benchmark(ExperimentSpec(self.PROBLEM, runs))
         assert calls == []
 
     def test_wall_clock_roughly_linear_in_iterations(self):
-        # Both lengths get one warmup, then their repeats go round-robin, as
-        # in cost_parity_benchmark, so a drift in host speed hits both alike
-        # instead of showing up in the ratio.
-        system = generate_system(ProblemSpec(source=GeneratedSource("uniform", 800, 80, seed=14),
-                                             normalize=True, solution_seed=15))
-        configs = {iters: SolverConfig(QRK(0.8), max_iters=iters, seed=derive_seed(2, "qrk", 0))
-                   for iters in (1000, 2000)}
-        times = {iters: [] for iters in configs}
-        for config in configs.values():
-            solve(system, config, record=False)
-        for _ in range(5):
-            for iters, config in configs.items():
-                start = time.perf_counter()
-                solve(system, config, record=False)
-                times[iters].append(time.perf_counter() - start)
-        ratio = statistics.median(times[2000]) / statistics.median(times[1000])
+        problem = ProblemSpec(source=GeneratedSource("uniform", 800, 80, seed=14),
+                              normalize=True, solution_seed=15)
+        runs = [RunSpec(label=str(iters), selector=QRK(0.8), max_iters=iters)
+                for iters in (1000, 2000)]
+        report = cost_parity_benchmark(ExperimentSpec(problem, runs, trials=5, seed=2))
+        ratio = report.ratio("2000", "1000")
         assert 1.5 <= ratio <= 2.5
 
 
