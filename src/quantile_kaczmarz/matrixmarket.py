@@ -7,13 +7,21 @@ raise UnsupportedFieldError. Coordinate files densify with unlisted entries
 zero; duplicate coordinate entries are summed; indices are 1-based per the
 format; ``%`` comment lines are skipped.
 
-Array-format values are stored in column-major order. The writer emits
-shortest round-trip decimal representations, so save/load reproduces a
-matrix bit-exactly.
+Array-format values are stored in column-major order. The file is read
+once, as bytes. An array body of one number per line and nothing else, as
+the writer produces, is converted in one numpy call; any other body
+(``\\r\\n`` line ends, comments, blank lines, several tokens on a line, bad
+values) is scanned line by line, which reads the first token of each line
+and reports the line of a bad value. Both give the same values. The writer
+emits shortest round-trip decimal representations of every entry, negative
+zeros included, so save/load reproduces a matrix bit-exactly.
 """
 
 from __future__ import annotations
 
+import io
+import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -27,19 +35,23 @@ _FIELDS = {"real", "integer", "pattern"}
 _UNSUPPORTED_FIELDS = {"complex"}
 _SYMMETRIES = {"general", "symmetric"}
 _UNSUPPORTED_SYMMETRIES = {"skew-symmetric", "hermitian"}
+_EOL = re.compile(rb"\r\n?|\n")
+# the bytes of decimal, nan and inf(inity) tokens in either case, and the line end
+_NUMBER_BYTES = b"0123456789+-.eEnNaAiIfFtTyY\n"
 
 
 def load_matrix_market(path) -> np.ndarray:
     """Read a Matrix Market file into a dense (m, n) float64 array."""
-    path = Path(path)
-    with open(path, "r", encoding="ascii", errors="replace") as fh:
-        lines = fh.readlines()
+    data = Path(path).read_bytes()
+    head = _lines(data)
 
-    if not lines:
+    first = next(head, None)
+    if first is None:
         raise MatrixMarketParseError(1, "empty file")
-    header = lines[0].strip().split()
+    header_line = first[0].strip()
+    header = header_line.split()
     if len(header) != 5 or header[0].lower() != "%%matrixmarket" or header[1].lower() != "matrix":
-        raise MatrixMarketParseError(1, f"bad header {lines[0].strip()!r}")
+        raise MatrixMarketParseError(1, f"bad header {header_line!r}")
     fmt, fld, sym = header[2].lower(), header[3].lower(), header[4].lower()
     if fmt not in _FORMATS:
         raise MatrixMarketParseError(1, f"unknown format {fmt!r}")
@@ -56,7 +68,8 @@ def load_matrix_market(path) -> np.ndarray:
 
     lineno = 1
     size_line = None
-    for lineno, raw in enumerate(lines[1:], start=2):
+    body_offset = len(data)
+    for lineno, (raw, body_offset) in enumerate(head, start=2):
         stripped = raw.strip()
         if not stripped or stripped.startswith("%"):
             continue
@@ -89,6 +102,8 @@ def load_matrix_market(path) -> np.ndarray:
     seen = 0
     start = lineno + 1
     if fmt == "coordinate":
+        lines = _text_lines(data)
+        sums: dict[tuple[int, int], float] = {}
         for lineno, raw in enumerate(lines[start - 1:], start=start):
             stripped = raw.strip()
             if not stripped or stripped.startswith("%"):
@@ -104,18 +119,19 @@ def load_matrix_market(path) -> np.ndarray:
                 raise MatrixMarketParseError(lineno, f"bad entry {stripped!r}") from None
             if not (1 <= i <= m and 1 <= j <= n):
                 raise MatrixMarketParseError(lineno, f"index ({i}, {j}) outside {m}x{n}")
-            out[i - 1, j - 1] += v
+            # sums start at -0.0, the identity of +, so a listed -0.0 stays negative
+            sums[i - 1, j - 1] = sums.get((i - 1, j - 1), -0.0) + v
             if sym == "symmetric" and i != j:
-                out[j - 1, i - 1] += v
+                sums[j - 1, i - 1] = sums.get((j - 1, i - 1), -0.0) + v
             seen += 1
         if seen != nnz:
             raise MatrixMarketParseError(lineno, f"expected {nnz} entries, found {seen}")
+        for (i, j), v in sums.items():
+            out[i, j] = v
     else:
         # array format: column-major; symmetric stores the lower triangle only
-        values = _array_values(lines, start)
         expected = n * (n + 1) // 2 if sym == "symmetric" else m * n
-        if values.size != expected:
-            raise MatrixMarketParseError(len(lines), f"expected {expected} values, found {values.size}")
+        values = _array_values(data, body_offset, start, expected)
         if sym == "symmetric":
             j, i = np.triu_indices(n)  # (i, j) pairs with i >= j, in column-major order
             out[i, j] = values
@@ -125,23 +141,75 @@ def load_matrix_market(path) -> np.ndarray:
     return out
 
 
-def _array_values(lines: list[str], start: int) -> np.ndarray:
+def _lines(data: bytes):
+    """Yield (text, offset just past the line end) for each line.
+
+    Lines end at ``\\n``, ``\\r\\n`` or ``\\r`` and are decoded as ASCII with
+    replacement, as a text-mode read splits and decodes them.
+    """
+    pos = 0
+    while pos < len(data):
+        eol = _EOL.search(data, pos)
+        end, nxt = (eol.start(), eol.end()) if eol else (len(data), len(data))
+        yield data[pos:end].decode("ascii", errors="replace"), nxt
+        pos = nxt
+
+
+def _text_lines(data: bytes) -> list[str]:
+    """The file's lines as a text-mode ``readlines()`` returns them."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding="ascii", errors="replace").readlines()
+
+
+def _array_values(data: bytes, offset: int, start: int, expected: int) -> np.ndarray:
+    """The ``expected`` values of the array body at byte ``offset`` (line ``start``).
+
+    A body of one number per line and nothing else, with ``\\n`` line ends,
+    as the writer produces, is converted by one ``np.fromstring`` call
+    (``_convert_body``). Every other body (``\\r\\n`` line ends, comments,
+    blank lines, lines of several tokens, bad or missing values) goes to
+    ``_scan_array_values``, the one path that names a bad line; a wrong
+    value count is reported at the last line of the file.
+    """
+    values = _convert_body(data[offset:], expected)
+    if values is not None:
+        return values
+    lines = _text_lines(data)
+    values = _scan_array_values(lines, start)
+    if values.size != expected:
+        raise MatrixMarketParseError(len(lines), f"expected {expected} values, found {values.size}")
+    return values
+
+
+def _convert_body(body: bytes, expected: int) -> np.ndarray | None:
+    """The body's values in one numpy call, or None where the line scanner might differ.
+
+    The call is made only on a body of number characters and ``\\n`` line
+    ends with no blank line, so that every line is one token, and its
+    values are kept only when it stopped at no unmatched data and read
+    exactly one value per line, ``expected`` in all. (On a body of
+    whitespace only, numpy returns one value, -1.0.)
+    """
+    if (not body or b"\r" in body or body.translate(None, _NUMBER_BYTES)
+            or body.startswith(b"\n") or b"\n\n" in body
+            or body.count(b"\n") + (not body.endswith(b"\n")) != expected):
+        return None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            values = np.fromstring(body, dtype=np.float64, sep=" ")
+        except (ValueError, Warning):
+            return None
+    return values if values.size == expected else None
+
+
+def _scan_array_values(lines: list[str], start: int) -> np.ndarray:
     """First token of every value line from line ``start`` (1-based) on, as floats.
 
-    Blank and ``%`` lines are skipped. All lines are converted in one numpy
-    call (numpy converts each string as ``float`` does); when that fails, on
-    a bad value or a line with more than one token, the lines are scanned
-    one by one, which reads the first token only and reports the line of a
-    bad value.
+    Blank and ``%`` lines are skipped; the first bad value raises with its
+    line number.
     """
-    body = lines[start - 1:]
-    try:
-        return np.array([raw for raw in body if raw.strip()[:1] not in ("", "%")],
-                        dtype=np.float64)
-    except ValueError:
-        pass
     values = []
-    for lineno, raw in enumerate(body, start=start):
+    for lineno, raw in enumerate(lines[start - 1:], start=start):
         stripped = raw.strip()
         if not stripped or stripped.startswith("%"):
             continue
@@ -156,7 +224,7 @@ def save_matrix_market(path, a: np.ndarray, fmt: str = "array", comment: str | N
     """Write a dense matrix as Matrix Market 'real general', atomically.
 
     ``fmt='array'`` lists every entry in column-major order; ``'coordinate'``
-    lists nonzeros with 1-based indices.
+    lists nonzeros and negative zeros with 1-based indices.
     """
     a = as_matrix(a)
     m, n = a.shape
@@ -168,11 +236,10 @@ def save_matrix_market(path, a: np.ndarray, fmt: str = "array", comment: str | N
             chunks.append(f"%{line}\n")
     if fmt == "array":
         chunks.append(f"{m} {n}\n")
-        for j in range(n):
-            for i in range(m):
-                chunks.append(repr(float(a[i, j])) + "\n")
+        chunks.append("\n".join(map(repr, a.T.ravel().tolist())) + "\n")
     else:
-        rows, cols = np.nonzero(a.T)
+        # -0.0 compares equal to zero but must survive the round trip
+        rows, cols = np.nonzero((a.T != 0) | np.signbit(a.T))
         chunks.append(f"{m} {n} {rows.size}\n")
         for j, i in zip(rows, cols):
             chunks.append(f"{i + 1} {j + 1} {float(a[i, j])!r}\n")

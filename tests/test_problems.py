@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from quantile_kaczmarz import (
     RK,
@@ -19,6 +23,7 @@ from quantile_kaczmarz import (
     save_matrix_market,
     solve,
 )
+from quantile_kaczmarz import matrixmarket
 
 from conftest import normalized_residuals
 
@@ -194,11 +199,21 @@ class TestMatrixMarket:
     def test_roundtrip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(20)
         a = rng.normal(size=(4, 3)) * 10.0 ** rng.integers(-8, 8, size=(4, 3))
+        a[0, 0], a[1, 1] = -0.0, 5e-324
+        a[2, 2], a[3, 0] = 1.7976931348623157e308, -1.7976931348623157e308
         for fmt in ("array", "coordinate"):
             path = tmp_path / f"rt_{fmt}.mtx"
             save_matrix_market(path, a, fmt=fmt)
             back = load_matrix_market(path)
-            assert np.array_equal(back, a)
+            assert np.array_equal(back.view(np.uint64), a.view(np.uint64))
+
+    def test_array_writer_text(self, tmp_path):
+        path = tmp_path / "text.mtx"
+        save_matrix_market(path, [[1.0, -0.0], [0.1, 5e-324]], comment="two\nlines")
+        assert path.read_text() == ("%%MatrixMarket matrix array real general\n"
+                                    "%two\n%lines\n"
+                                    "2 2\n"
+                                    "1.0\n0.1\n-0.0\n5e-324\n")
 
     def test_complex_field_unsupported(self, tmp_path):
         path = tmp_path / "cx.mtx"
@@ -279,3 +294,92 @@ class TestMatrixMarket:
             source=FileSource(path=path), normalize=True, solution_seed=22))
         assert system.shape == (6, 2)
         assert np.allclose(np.linalg.norm(system.A, axis=1), 1.0, atol=1e-12)
+
+
+# Perturbations of a writer-produced array body: each maps the body's lines
+# and a drawn line index k to new lines; most must leave the one-call path.
+_PERTURBATIONS = {
+    "none": lambda body, k: body,
+    "comment": lambda body, k: body[:k] + ["% c"] + body[k:],
+    "indented_comment": lambda body, k: body[:k] + ["   % c"] + body[k:],
+    "blank_line": lambda body, k: body[:k] + [""] + body[k:],
+    "blank_for_value": lambda body, k: body[:k] + [""] + body[k + 1:],
+    "trailing_blank_lines": lambda body, k: body + ["", ""],
+    "two_tokens": lambda body, k: body[:k] + [body[k] + " 7.5"] + body[k + 1:],
+    "underscore": lambda body, k: body[:k] + ["1_0"] + body[k + 1:],
+    "nan_inf": lambda body, k: body[:k] + [("nan", "-inf", "Infinity", "NaN")[k % 4]]
+    + body[k + 1:],
+    "glued_values": lambda body, k: body[:k] + ["1-2"] + body[k + 1:],
+    "bad_exponent": lambda body, k: body[:k] + ["1e"] + body[k + 1:],
+    "one_too_few": lambda body, k: body[:k] + body[k + 1:],
+    "one_too_many": lambda body, k: body[:k] + ["3.25"] + body[k:],
+}
+
+
+def _scanner_oracle(path, expected):
+    """The line scanner's values for an array file whose body starts on line 3,
+    or the line of its MatrixMarketParseError."""
+    with open(path, encoding="ascii", errors="replace") as fh:
+        lines = fh.readlines()
+    try:
+        values = matrixmarket._scan_array_values(lines, 3)
+    except MatrixMarketParseError as err:
+        return err.line
+    return values if values.size == expected else len(lines)
+
+
+class TestArrayReaderAgainstScanner:
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(shape=st.tuples(st.integers(1, 5), st.integers(1, 4)),
+           data=st.data(),
+           symmetric=st.booleans(),
+           perturb=st.sampled_from(sorted(_PERTURBATIONS)),
+           newline=st.sampled_from(["\n", "\r\n", "\r"]),
+           final_newline=st.booleans())
+    def test_same_values_or_error_line(self, tmp_path, shape, data, symmetric, perturb,
+                                       newline, final_newline):
+        m, n = (shape[1], shape[1]) if symmetric else shape
+        floats = st.floats(allow_nan=False, allow_infinity=False)
+        a = np.array(data.draw(st.lists(floats, min_size=m * n, max_size=m * n)))
+        path = tmp_path / "diff.mtx"
+        save_matrix_market(path, a.reshape(m, n))
+        header, size, *body = path.read_text().splitlines()
+        if symmetric:
+            header = header.replace("general", "symmetric")
+            lower = [i >= j for j in range(n) for i in range(n)]
+            body = [v for v, keep in zip(body, lower) if keep]
+        expected = len(body)
+        body = _PERTURBATIONS[perturb](body, data.draw(st.integers(0, len(body) - 1)))
+        text = newline.join([header, size, *body]) + (newline if final_newline else "")
+        path.write_bytes(text.encode("ascii"))
+
+        oracle = _scanner_oracle(path, expected)
+        if isinstance(oracle, int):
+            with pytest.raises(MatrixMarketParseError) as err:
+                load_matrix_market(path)
+            assert err.value.line == oracle
+            return
+        got = load_matrix_market(path)
+        if symmetric:
+            j, i = np.triu_indices(n)
+            got = got[i, j]
+        else:
+            got = got.T.ravel()
+        assert np.array_equal(np.isnan(got), np.isnan(oracle))
+        finite = ~np.isnan(oracle)
+        assert np.array_equal(got[finite].view(np.uint64), oracle[finite].view(np.uint64))
+
+    def test_writer_output_takes_the_one_call_path(self, tmp_path, monkeypatch):
+        def no_scan(lines, start):
+            raise AssertionError("the line scanner was called")
+
+        monkeypatch.setattr(matrixmarket, "_scan_array_values", no_scan)
+        a = np.random.default_rng(23).normal(size=(7, 5))
+        a[0, 0], a[1, 0] = -0.0, 5e-324
+        path = tmp_path / "fast.mtx"
+        save_matrix_market(path, a)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            back = load_matrix_market(path)
+        assert np.array_equal(back.view(np.uint64), a.view(np.uint64))
