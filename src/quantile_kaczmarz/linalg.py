@@ -74,8 +74,8 @@ def normalize_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def extreme_singular_values(a: np.ndarray) -> tuple[float, float]:
     """Smallest and largest singular values of a dense matrix.
 
-    Computed with LAPACK's divide-and-conquer SVD, falling back to the more
-    robust one-sided Jacobi-free 'gesvd' driver if that fails to converge.
+    Computed with LAPACK's divide-and-conquer SVD ('gesdd'), falling back to
+    its QR-iteration SVD driver ('gesvd') if that fails to converge.
     """
     a = as_matrix(a)
     try:

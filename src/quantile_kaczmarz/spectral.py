@@ -35,6 +35,11 @@ per-row method returns, 0.0 for a lonely column. Elsewhere both methods
 carry the Gram eigenvalue error of about n eps sigma_max^2, so their values
 agree to 1e-9 relative above about 1e-3 sigma_max and to about
 n eps sigma_max^2 / sigma below that.
+
+scipy.linalg is loaded by the first leave-one-out call (its first
+scipy.linalg.eigh), not by importing this module, so a process that never
+computes a leave-one-out value (every solving subcommand) does not pay its
+start-up time and memory.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ import math
 from itertools import combinations, islice
 
 import numpy as np
-import scipy.linalg
+import scipy  # not scipy.linalg: SciPy loads that submodule on first access
 
 from .errors import BudgetExceededError
 from .linalg import as_matrix

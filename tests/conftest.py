@@ -1,10 +1,15 @@
 import os
 from pathlib import Path
 
-import numpy as np
-import pytest
+# One BLAS thread, as CI and perfbench pin it: criterion 5's wall-clock
+# parity window reads BLAS threading. This must run before numpy loads.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
-from quantile_kaczmarz import RK, DenseSystem, SolverConfig, solve
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from quantile_kaczmarz import RK, DenseSystem, SolverConfig, solve  # noqa: E402
 
 # SuiteSparse matrices are user-supplied; tests needing them skip when absent.
 DATA_DIR = Path(os.environ.get("QUANTILE_KACZMARZ_DATA",

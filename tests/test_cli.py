@@ -19,6 +19,12 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+def src_env():
+    """This environment with the checkout's ``src`` first on PYTHONPATH, for a child interpreter."""
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
+
+
 class TestUsageErrors:
     def test_missing_method_exits_1(self, capsys):
         with pytest.raises(SystemExit) as err:
@@ -401,11 +407,49 @@ class TestEntryPoint:
         assert getattr(importlib.import_module(module), attr) is main
 
     def test_module_runs_as_a_script(self, tmp_path):
-        path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
         proc = subprocess.run(
             [sys.executable, "-m", "quantile_kaczmarz.cli", "solve", "--m", "40", "--n", "5",
              "--method", "rk", "--iters", "5", "--out", str(tmp_path)],
-            env=env, capture_output=True, text=True, timeout=120)
+            env=src_env(), capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert sorted(f.name for f in tmp_path.iterdir()) == ["summary.json", "trajectory.csv"]
+
+
+# Runs each subcommand in turn in one fresh interpreter and prints, per
+# subcommand, its exit code and whether scipy.linalg was loaded after it.
+_IMPORT_PROBE = """
+import json, sys
+from quantile_kaczmarz.cli import main
+tmp, commands = sys.argv[1], json.loads(sys.argv[2])
+seen = {}
+for name, argv in commands:
+    code = main(argv + ["--out", f"{tmp}/{name}"])
+    seen[name] = [code, "scipy.linalg" in sys.modules]
+print(json.dumps(seen))
+"""
+
+
+def test_only_diagnose_loads_scipy_linalg(tmp_path):
+    # the test process cannot answer this: test_spectral.py imports scipy.linalg
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "seed": 1, "trials": 1,
+        "problem": {"source": {"kind": "generated", "dist": "gaussian", "m": 30, "n": 4}},
+        "runs": [{"label": "dqrk", "method": "dqrk", "q0": 0.5, "q1": 0.9, "iters": 50}],
+    }))
+    matrix = tmp_path / "stacked.mtx"
+    save_matrix_market(matrix, np.vstack([np.eye(3), np.eye(3)]))
+    commands = [
+        ["threshold", ["threshold", str(spec), "--threshold", "1e-6"]],
+        ["experiment", ["experiment", str(spec)]],
+        ["solve", ["solve", "--m", "30", "--n", "4", "--method", "rk", "--iters", "20"]],
+        ["bench", ["bench", "--m", "30", "--n", "4", "--iters", "20", "--repeats", "1"]],
+        ["diagnose", ["diagnose", str(matrix)]],
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, str(tmp_path), json.dumps(commands)],
+        env=src_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == {
+        "threshold": [0, False], "experiment": [0, False], "solve": [0, False],
+        "bench": [0, False], "diagnose": [0, True]}
