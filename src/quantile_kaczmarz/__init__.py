@@ -7,6 +7,8 @@ per-step contraction bounds, and a reproducible experiment harness with a
 CLI front end (``qkaczmarz``).
 """
 
+import types as _types
+
 from ._version import __version__
 from .bounds import (
     BoundReport,
@@ -86,4 +88,6 @@ from .tail_bounds import (
     tail_conditioning_bounds,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the re-exported names only: importing them also binds each submodule here
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, _types.ModuleType)]

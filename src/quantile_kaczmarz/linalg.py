@@ -55,6 +55,16 @@ def row_norms(a: np.ndarray) -> tuple[np.ndarray, float]:
     return np.sqrt(sq), float(sq.sum())
 
 
+def nonzero_row_norms(a: np.ndarray) -> np.ndarray:
+    """Euclidean norm of every row, raising ZeroRowError for the first row
+    with norm below ZERO_ROW_TOL."""
+    norms, _ = row_norms(a)
+    bad = np.nonzero(norms < ZERO_ROW_TOL)[0]
+    if bad.size:
+        raise ZeroRowError(index=int(bad[0]), norm=float(norms[bad[0]]))
+    return norms
+
+
 def normalize_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Scale every row to unit Euclidean norm.
 
@@ -64,10 +74,7 @@ def normalize_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ZERO_ROW_TOL.
     """
     a = as_matrix(a)
-    norms, _ = row_norms(a)
-    bad = np.nonzero(norms < ZERO_ROW_TOL)[0]
-    if bad.size:
-        raise ZeroRowError(index=int(bad[0]), norm=float(norms[bad[0]]))
+    norms = nonzero_row_norms(a)
     return a / norms[:, None], norms
 
 

@@ -30,9 +30,8 @@ from .errors import (
     AllZeroWeightsError,
     DimensionMismatchError,
     InvalidQuantilesError,
-    ZeroRowError,
 )
-from .linalg import ZERO_ROW_TOL, as_matrix, as_vector, row_norms
+from .linalg import as_matrix, as_vector, nonzero_row_norms
 from .quantiles import band_ranks, partition_two_sided
 
 # --------------------------------------------------------------------------
@@ -269,10 +268,11 @@ X0Policy = Origin | OnHyperplane
 
 @dataclass(frozen=True)
 class StopRule:
-    """Optional early-stopping thresholds checked every iteration.
+    """Optional early-stopping thresholds, checked on x0 and after every step.
 
-    ``target_sq_error`` needs ground truth; ``residual_norm`` compares the
-    Euclidean norm of the normalized-residual vector.
+    ``target_sq_error`` needs ground truth and is checked first;
+    ``residual_norm`` compares the Euclidean norm of the normalized-residual
+    vector.
     """
 
     target_sq_error: float | None = None
@@ -326,14 +326,20 @@ def solve(
 ) -> SolveTrace:
     """Run up to ``max_iters`` projection steps and collect a trace.
 
-    Records iteration 0 (the initial iterate) and every ``record_every``-th
-    iteration plus the final one. Deterministic given (system, config):
-    every random selector consumes exactly one uniform per iteration, so the
-    stream does not depend on what is recorded.
+    Records iteration 0 (the initial iterate), every ``record_every``-th
+    iteration, the last one and the one that meets a stop rule. The stop
+    rules are checked on x0 and on each new iterate right after its step,
+    ``target_sq_error`` first. Deterministic given (system, config): every
+    random selector consumes exactly one uniform per iteration and the step
+    rule depends on the selector alone, so recording changes no bit of the
+    trajectory. RK steps by its row's own ``b_i - <a_i, x>``; every other
+    selector steps by the entry ``r_i`` of the residual it selected with.
 
-    A record's residual norm comes from the same ``A x - b`` the next
-    iteration selects with, so a recorded iteration costs one matvec, the
-    same as an unrecorded quantile iteration.
+    The residual ``A x - b`` is computed at most once per iterate: right
+    after the step when a record or a ``residual_norm`` stop needs it, else
+    at the top of the next quantile or Motzkin iteration. A recorded
+    iteration therefore costs one matvec, the same as an unrecorded quantile
+    iteration.
 
     Preconditions raise before the first record: zero rows, an rqrk
     quantile or a dqrk band that does not fit m (``kind.ranks(m)``, once per
@@ -346,16 +352,16 @@ def solve(
     if record_every < 1:
         raise ValueError("record_every must be >= 1")
 
-    norms, _ = row_norms(a)
-    bad = np.nonzero(norms < ZERO_ROW_TOL)[0]
-    if bad.size:
-        raise ZeroRowError(index=int(bad[0]), norm=float(norms[bad[0]]))
+    norms = nonzero_row_norms(a)
     inv_norms = 1.0 / norms
     sq_norms = norms * norms
     cum_sq_norms = np.cumsum(sq_norms)
 
     kind = config.selector
     ranks = kind.ranks(m) if isinstance(kind, (QRK, RQRK, DQRK)) else None
+    # RK never needs the residual to pick a row, so it steps by the row's own
+    # dot product whether or not a record computed the residual
+    rk = isinstance(kind, RK)
 
     gt = system.ground_truth
     stop = config.stop or StopRule()
@@ -373,10 +379,6 @@ def solve(
     else:
         x = np.zeros(n)
 
-    # RK does not need residuals to pick a row; compute them only when a
-    # trace record or a residual-based stop rule demands it.
-    res_every_iter = not isinstance(kind, RK) or res_stop is not None
-
     def residual(xv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         rv = a @ xv - b
         return rv, np.abs(rv) * inv_norms
@@ -385,72 +387,43 @@ def solve(
         # np.linalg.norm of a 1-D float vector is sqrt(v.dot(v)), bit for bit
         return math.sqrt(v.dot(v))
 
-    # The residual r = A x - b of the current iterate, its normalized form
-    # nres and the norm of nres, each computed at most once per iterate: a
-    # record fills them for the new x and the next selection reuses them.
-    r = nres = res_norm = None
-
     records: list[TraceRecord] = []
-    sq_err = system.sq_error(x) if gt is not None else None
-
-    if record:
-        r, nres = residual(x)
-        res_norm = norm(nres)
-        records.append(TraceRecord(0, None, None, None, sq_err, res_norm))
-
-    termination = "max_iters"
-    iterations = 0
-
-    if target is not None and sq_err <= target:
-        termination = "target_sq_error"
-    else:
-        for k in range(1, config.max_iters + 1):
-            will_record = record and (k % record_every == 0 or k == config.max_iters)
-            needs_res = res_every_iter or will_record
-            if needs_res and r is None:
+    i = low = high = None
+    k = 0
+    while True:
+        # x is the iterate after k steps; r and nres are its residual and
+        # normalized residual once computed
+        r = nres = None
+        sq_err = system.sq_error(x) if gt is not None else None
+        termination = None
+        if target is not None and sq_err <= target:
+            termination = "target_sq_error"
+        elif res_stop is not None:
+            r, nres = residual(x)
+            if norm(nres) <= res_stop:
+                termination = "residual_norm"
+        if termination is None and k == config.max_iters:
+            termination = "max_iters"
+        if record and (termination or k % record_every == 0):
+            if r is None:
                 r, nres = residual(x)
+            records.append(TraceRecord(k, i, low, high, sq_err, norm(nres)))
+        if termination is not None:
+            break
 
-            if res_stop is not None:
-                if res_norm is None:
-                    res_norm = norm(nres)
-                if res_norm <= res_stop:
-                    termination = "residual_norm"
-                    break
-
-            i, low, high = select_row(kind, ranks, nres, sq_norms, cum_sq_norms, rng)
-
-            # when this iteration needs no residual, RK steps by the row's own
-            # dot product even if a record left r behind: the matvec's entry i
-            # can differ from it in the last bit
-            if needs_res:
-                x = x - (r[i] / sq_norms[i]) * a[i]
-            else:
-                x = x + ((b[i] - a[i] @ x) / sq_norms[i]) * a[i]
-            r = nres = res_norm = None
-            iterations = k
-
-            if gt is not None:
-                sq_err = system.sq_error(x)
-
-            reached_target = target is not None and sq_err <= target
-            if record and (will_record or reached_target):
-                r, nres = residual(x)
-                res_norm = norm(nres)
-                records.append(TraceRecord(k, i, low, high, sq_err, res_norm))
-            if reached_target:
-                termination = "target_sq_error"
-                break
-
-    # a residual_norm stop breaks before stepping and can leave the last
-    # iterate unrecorded; close the trace with the norm it compared, so the
-    # trace always ends at final_x
-    if record and records[-1].iteration != iterations:
-        records.append(TraceRecord(iterations, None, None, None, sq_err, res_norm))
+        k += 1
+        if r is None and not rk:
+            r, nres = residual(x)
+        i, low, high = select_row(kind, ranks, nres, sq_norms, cum_sq_norms, rng)
+        if rk:
+            x = x + ((b[i] - a[i] @ x) / sq_norms[i]) * a[i]
+        else:
+            x = x - (r[i] / sq_norms[i]) * a[i]
 
     return SolveTrace(
         records=tuple(records),
         final_x=x,
-        iterations=iterations,
+        iterations=k,
         termination=termination,
         seed=config.seed,
     )

@@ -45,8 +45,8 @@ PINNED_SPEC = ExperimentSpec(
     record_every=3,
 )
 
-TRAJECTORY_SHA256 = "0c00af4bce9b8d500d183cd4353cd761db34b06392ecf2a8ae4d0f0c0a62420e"
-SUMMARY_SHA256 = "fedafb9092f228a615596efd5dbc9a698e1a2807057c678c05635f034ee107ee"
+TRAJECTORY_SHA256 = "22837749b591a1e8c926913e3a7a1db3b98bf89eb74bff4a165c1d1361d83437"
+SUMMARY_SHA256 = "79b8535d26348ee721661a99effcd27640b2cc9f2b0c83528a6064bfdd2d6df6"
 
 
 def sha256(data: bytes) -> str:

@@ -68,60 +68,52 @@ def two_matvec_solve(system, config, record_every=1, record=True):
     kind = config.selector
     ranks = kind.ranks(m) if isinstance(kind, (QRK, RQRK, DQRK)) else None
     gt = system.ground_truth
-    stop = config.stop
+    stop = config.stop or StopRule()
     rng = np.random.Generator(np.random.PCG64(config.seed))
     if isinstance(config.x0, OnHyperplane):
         row0 = config.x0.row if config.x0.row is not None else int(rng.integers(m))
         x = (b[row0] / sq_norms[row0]) * a[row0]
     else:
         x = np.zeros(n)
-    stop_on_res_norm = stop is not None and stop.residual_norm is not None
-    res_every_iter = not isinstance(kind, RK) or stop_on_res_norm
 
     def residual_norm_at(xv):
         return float(np.linalg.norm(np.abs(a @ xv - b) * inv_norms))
 
+    def stop_met(sq_err, xv):
+        if stop.target_sq_error is not None and sq_err <= stop.target_sq_error:
+            return "target_sq_error"
+        if stop.residual_norm is not None and residual_norm_at(xv) <= stop.residual_norm:
+            return "residual_norm"
+        return None
+
     records = []
     sq_err = system.sq_error(x) if gt is not None else None
+    termination = stop_met(sq_err, x)
     if record:
         records.append(TraceRecord(0, None, None, None, sq_err, residual_norm_at(x)))
-    termination = "max_iters"
     iterations = 0
-    if stop is not None and stop.target_sq_error is not None and sq_err is not None \
-            and sq_err <= stop.target_sq_error:
-        termination = "target_sq_error"
-    else:
-        for k in range(1, config.max_iters + 1):
-            will_record = record and (k % record_every == 0 or k == config.max_iters)
-            r = None
-            nres = None
-            if res_every_iter or will_record:
-                r = a @ x - b
-                nres = np.abs(r) * inv_norms
-            if stop_on_res_norm and float(np.linalg.norm(nres)) <= stop.residual_norm:
-                termination = "residual_norm"
-                break
-            i, low, high = select_row(kind, ranks, nres, sq_norms, cum_sq_norms, rng)
-            if r is not None:
-                x = x - (r[i] / sq_norms[i]) * a[i]
-            else:
-                x = x + ((b[i] - a[i] @ x) / sq_norms[i]) * a[i]
-            iterations = k
-            if gt is not None:
-                sq_err = system.sq_error(x)
-            reached_target = (stop is not None and stop.target_sq_error is not None
-                              and sq_err is not None and sq_err <= stop.target_sq_error)
-            if record and (will_record or reached_target):
-                records.append(TraceRecord(k, i, low, high, sq_err, residual_norm_at(x)))
-            if reached_target:
-                termination = "target_sq_error"
-                break
-    if record and records[-1].iteration != iterations:
-        records.append(TraceRecord(iterations, None, None, None,
-                                   system.sq_error(x) if gt is not None else None,
-                                   residual_norm_at(x)))
+    for k in range(1, config.max_iters + 1):
+        if termination is not None:
+            break
+        r = None
+        nres = None
+        if not isinstance(kind, RK):
+            r = a @ x - b
+            nres = np.abs(r) * inv_norms
+        i, low, high = select_row(kind, ranks, nres, sq_norms, cum_sq_norms, rng)
+        if r is not None:
+            x = x - (r[i] / sq_norms[i]) * a[i]
+        else:
+            x = x + ((b[i] - a[i] @ x) / sq_norms[i]) * a[i]
+        iterations = k
+        if gt is not None:
+            sq_err = system.sq_error(x)
+        termination = stop_met(sq_err, x)
+        if record and (k % record_every == 0 or k == config.max_iters
+                       or termination is not None):
+            records.append(TraceRecord(k, i, low, high, sq_err, residual_norm_at(x)))
     return SolveTrace(records=tuple(records), final_x=x, iterations=iterations,
-                      termination=termination, seed=config.seed)
+                      termination=termination or "max_iters", seed=config.seed)
 
 
 def float_bits(value):
@@ -129,9 +121,12 @@ def float_bits(value):
     return struct.pack("<d", value) if isinstance(value, float) else value
 
 
+def record_bits(rec):
+    return tuple(float_bits(getattr(rec, f.name)) for f in dataclasses.fields(rec))
+
+
 def trace_bits(trace):
-    return ([tuple(float_bits(getattr(rec, f.name)) for f in dataclasses.fields(rec))
-             for rec in trace.records],
+    return ([record_bits(rec) for rec in trace.records],
             trace.final_x.tobytes(), trace.iterations, trace.termination)
 
 
@@ -436,6 +431,15 @@ def band_is_empty(kind, m):
         math.floor(kind.q0 * m + 0.5) >= math.floor(kind.q1 * m + 0.5)
 
 
+def start_record(system, seed, x0):
+    """The iteration-0 record, which depends on the seed and x0 policy alone."""
+    return solve(system, SolverConfig(RK(), 0, seed=seed, x0=x0)).records[0]
+
+
+# the record field each stop rule compares with its threshold
+STOPPED_FIELD = {"target_sq_error": "sq_error", "residual_norm": "residual_norm"}
+
+
 class TestCarriedResidual:
     """``solve`` reuses a record's residual for the next selection."""
 
@@ -467,8 +471,7 @@ class TestCarriedResidual:
             system = DenseSystem(system.A, system.b)
             if stop_kind == "target_sq_error":
                 stop_kind = "residual_norm"
-        # x0 and its record depend on the seed and the x0 policy alone
-        start = solve(system, SolverConfig(RK(), 0, seed=seed, x0=x0)).records[0]
+        start = start_record(system, seed, x0)
         stop = None
         if stop_kind == "target_sq_error":
             stop = StopRule(target_sq_error=stop_fraction * start.sq_error)
@@ -493,16 +496,90 @@ class TestCarriedResidual:
                                  r"round\(q1\*m\)=1 for m=4"):
             solve(system, config, record_every=7)
 
-    def test_residual_norm_stop_closes_the_trace_between_records(self):
+    def test_residual_norm_stop_records_the_stopping_iterate(self):
         system = consistent_system(30, 4, seed=39)
         config = SolverConfig(Motzkin(), 5000, seed=7, stop=StopRule(residual_norm=1e-6))
         trace = solve(system, config, record_every=5)
         assert trace.termination == "residual_norm"
         assert trace.iterations % 5 != 0
-        assert trace.records[-1].iteration == trace.iterations
-        assert trace.records[-1].row is None
+        last = trace.records[-1]
+        assert last.iteration == trace.iterations
+        assert last.row is not None
+        assert last.residual_norm <= 1e-6
+        assert record_bits(last) == record_bits(solve(system, config).records[-1])
         assert trace_bits(trace) == trace_bits(
             two_matvec_solve(system, config, record_every=5))
+
+
+class TestRecordDensity:
+    """Recording changes no bit of a trajectory."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        m=st.integers(4, 24),
+        n=st.integers(2, 6),
+        seed=st.integers(0, 2**16),
+        normalize=st.booleans(),
+        kind=st.sampled_from(ALL_SELECTORS),
+        x0=st.sampled_from([Origin(), OnHyperplane(), OnHyperplane(row=1)]),
+        stop_kind=st.sampled_from([None, "target_sq_error", "residual_norm"]),
+        stop_fraction=st.floats(0.0, 1.2),
+        max_iters=st.integers(0, 60),
+    )
+    def test_record_density_changes_no_bit(self, m, n, seed, normalize, kind, x0,
+                                           stop_kind, stop_fraction, max_iters):
+        n = min(n, m - 1)  # generated systems are over-determined
+        if isinstance(kind, RQRK) and not 1 <= kind.q * m <= m - 1:
+            kind = RQRK(0.5)
+        if band_is_empty(kind, m):
+            kind = DQRK(0.25, 0.75)
+        system = generate_system(ProblemSpec(
+            source=GeneratedSource("gaussian", m, n, seed=seed), normalize=normalize,
+            corruption=CorruptionSpec(beta=0.25, seed=seed + 1), solution_seed=seed + 2))
+        start = start_record(system, seed, x0)
+        stop = None
+        if stop_kind is not None:
+            stop = StopRule(**{stop_kind: stop_fraction
+                               * getattr(start, STOPPED_FIELD[stop_kind])})
+        config = SolverConfig(kind, max_iters, seed=seed, x0=x0, stop=stop)
+        dense = solve(system, config, record_every=1)
+        by_iteration = {rec.iteration: rec for rec in dense.records}
+        assert list(by_iteration) == list(range(dense.iterations + 1))
+        for trace in [solve(system, config, record=False)] + [
+                solve(system, config, record_every=every) for every in (2, 7)]:
+            assert trace.final_x.tobytes() == dense.final_x.tobytes()
+            assert (trace.iterations, trace.termination) == (
+                dense.iterations, dense.termination)
+            for rec in trace.records:
+                assert record_bits(rec) == record_bits(by_iteration[rec.iteration])
+
+
+class TestStopRuleEdges:
+    """Both stop rules are checked on x0 and on each iterate after its step."""
+
+    @pytest.mark.parametrize("stop_kind", ["target_sq_error", "residual_norm"])
+    def test_stop_met_at_x0_with_no_iterations(self, stop_kind):
+        system = consistent_system(20, 4, seed=43)
+        start = start_record(system, 12, Origin())
+        config = SolverConfig(RK(), 0, seed=12,
+                              stop=StopRule(**{stop_kind: getattr(
+                                  start, STOPPED_FIELD[stop_kind])}))
+        trace = solve(system, config)
+        assert (trace.iterations, trace.termination) == (0, stop_kind)
+        assert trace.records == (start,)
+
+    @pytest.mark.parametrize("stop_kind", ["target_sq_error", "residual_norm"])
+    def test_stop_met_at_the_last_iteration(self, stop_kind):
+        system = consistent_system(20, 4, seed=44)
+        free = solve(system, SolverConfig(RK(), 40, seed=13))
+        values = [getattr(rec, STOPPED_FIELD[stop_kind]) for rec in free.records]
+        last = int(np.argmin(values))  # first iterate at the smallest value
+        assert last > 0
+        config = SolverConfig(RK(), last, seed=13,
+                              stop=StopRule(**{stop_kind: values[last]}))
+        trace = solve(system, config)
+        assert (trace.iterations, trace.termination) == (last, stop_kind)
+        assert trace.records == free.records[:last + 1]
 
 
 class TestContractionAgainstTheory:
