@@ -21,7 +21,6 @@ from .bounds import (
     rqrk_bound,
 )
 from .errors import (
-    AllZeroWeightsError,
     BudgetExceededError,
     ConvergenceFailureError,
     DegenerateConditioningError,

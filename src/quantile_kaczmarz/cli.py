@@ -34,7 +34,7 @@ from .harness import (
     write_table,
 )
 from .problems import CorruptionSpec, FileSource, GeneratedSource, ProblemSpec
-from .solver import StopRule, parse_selector
+from .solver import DQRK, QRK, RQRK, SELECTORS, StopRule, parse_selector
 
 USAGE_ERROR = 1
 RUNTIME_ERROR = 2
@@ -76,11 +76,10 @@ def _problem_from_args(args) -> ProblemSpec:
 
 
 def _add_method_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--method", choices=["rk", "qrk", "rqrk", "dqrk", "motzkin"],
-                   required=True)
-    p.add_argument("--q", type=float, help="quantile for qrk/rqrk")
-    p.add_argument("--q0", type=float, help="lower quantile for dqrk")
-    p.add_argument("--q1", type=float, help="upper quantile for dqrk")
+    p.add_argument("--method", choices=list(SELECTORS), required=True)
+    p.add_argument("--q", type=float, help=f"quantile for {QRK.name}/{RQRK.name}")
+    p.add_argument("--q0", type=float, help=f"lower quantile for {DQRK.name}")
+    p.add_argument("--q1", type=float, help=f"upper quantile for {DQRK.name}")
 
 
 def build_parser() -> _Parser:
@@ -115,8 +114,8 @@ def build_parser() -> _Parser:
     p.add_argument("--q", type=float, default=0.8)
     p.add_argument("--q0", type=float, default=0.6)
     p.add_argument("--q1", type=float, default=0.8)
-    p.add_argument("--methods", default="qrk,dqrk",
-                   help="comma-separated subset of rk,qrk,rqrk,dqrk,motzkin")
+    p.add_argument("--methods", default=f"{QRK.name},{DQRK.name}",
+                   help=f"comma-separated subset of {','.join(SELECTORS)}")
     p.add_argument("--iters", type=int, default=1000)
     p.add_argument("--repeats", type=int, default=5)
     p.add_argument("--out", type=Path, default=Path("results"))
@@ -199,8 +198,9 @@ def _cmd_bench(args) -> int:
     write_table(report.rows, BenchRow, out, fmt=args.format)
     for row in report.rows:
         print(f"{row.label}: {row.seconds_median:.4f} s for {row.iters} iterations")
-    if {"qrk", "dqrk"} <= {row.label for row in report.rows}:
-        print(f"dqrk/qrk wall-clock ratio: {report.ratio('dqrk', 'qrk'):.3f}")
+    if {QRK.name, DQRK.name} <= {row.label for row in report.rows}:
+        print(f"{DQRK.name}/{QRK.name} wall-clock ratio: "
+              f"{report.ratio(DQRK.name, QRK.name):.3f}")
     print(f"wrote {out}")
     return _report_failures(report.failures)
 

@@ -33,10 +33,6 @@ class InvalidQuantilesError(QuantileKaczmarzError):
     """Quantile parameters violate their ordering or range constraints."""
 
 
-class AllZeroWeightsError(QuantileKaczmarzError):
-    """Categorical sampling was asked to draw from an all-zero weight vector."""
-
-
 class BudgetExceededError(QuantileKaczmarzError):
     """Exhaustive subset enumeration would exceed the configured budget."""
 

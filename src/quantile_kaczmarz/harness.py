@@ -46,6 +46,7 @@ from .problems import (
 from .solver import (
     OnHyperplane,
     Origin,
+    SELECTORS,
     SelectorKind,
     SolveTrace,
     SolverConfig,
@@ -392,13 +393,6 @@ def write_table(rows, row_type, path, fmt: str = "csv") -> None:
             writer.writerows([getattr(r, c) for c in columns] for r in rows)
 
 
-def _selector_dict(kind: SelectorKind) -> dict:
-    out = {"method": kind.name}
-    for f in dataclasses.fields(kind):
-        out[f.name] = getattr(kind, f.name)
-    return out
-
-
 def _x0_dict(policy: X0Policy):
     if isinstance(policy, OnHyperplane):
         return "hyperplane" if policy.row is None else f"hyperplane:{policy.row}"
@@ -414,43 +408,6 @@ def parse_x0(text: str) -> X0Policy:
     if text.startswith("hyperplane:"):
         return OnHyperplane(row=int(text.split(":", 1)[1]))
     raise ValueError(f"unknown x0 policy {text!r}")
-
-
-def spec_to_dict(spec: ExperimentSpec) -> dict:
-    problem = spec.problem
-    if isinstance(problem.source, GeneratedSource):
-        source = {"kind": "generated", "dist": problem.source.dist,
-                  "m": problem.source.m, "n": problem.source.n, "seed": problem.source.seed}
-    else:
-        source = {"kind": "file", "path": str(problem.source.path)}
-    problem_dict = {
-        "source": source,
-        "normalize": problem.normalize,
-        "solution_seed": problem.solution_seed,
-        "corruption": None if problem.corruption is None else {
-            "beta": problem.corruption.beta,
-            "low": problem.corruption.low,
-            "high": problem.corruption.high,
-            "scale": problem.corruption.scale,
-            "seed": problem.corruption.seed,
-        },
-    }
-    runs = []
-    for run in spec.runs:
-        entry = {"label": run.label, **_selector_dict(run.selector),
-                 "iters": run.max_iters, "x0": _x0_dict(run.x0)}
-        if run.stop is not None:
-            entry["stop"] = {"target_sq_error": run.stop.target_sq_error,
-                             "residual_norm": run.stop.residual_norm}
-        runs.append(entry)
-    return {
-        "seed": spec.seed,
-        "trials": spec.trials,
-        "record_every": spec.record_every,
-        "fresh_problem_per_trial": spec.fresh_problem_per_trial,
-        "problem": problem_dict,
-        "runs": runs,
-    }
 
 
 _REQUIRED = object()
@@ -478,61 +435,79 @@ def _read(data: dict, key: str, kind: type, default=_REQUIRED):
     raise ValueError(f"{key!r} must be {_KIND_NAMES[kind]}, got {value!r}")
 
 
+# the annotations are strings: every spec module imports them from __future__
+_SCALARS = {"int": int, "float": float, "bool": bool, "str": str, "Path": str}
+
+
+def _scalar_fields(cls) -> list:
+    """(field, kind) for each field of the dataclass ``cls`` annotated as a JSON scalar."""
+    return [(f, _SCALARS[kind]) for f in dataclasses.fields(cls)
+            if (kind := f.type.removesuffix(" | None")) in _SCALARS]
+
+
+def _fields_dict(obj, skip=()) -> dict:
+    """The scalar fields of ``obj`` not named in ``skip``, by name; paths as strings."""
+    return {f.name: str(getattr(obj, f.name)) if kind is str else getattr(obj, f.name)
+            for f, kind in _scalar_fields(obj) if f.name not in skip}
+
+
+def _from_fields(cls, data: dict, **given):
+    """``cls(**given)`` with every other scalar field read from ``data`` by name, as
+    its annotated kind, with the dataclass default; a field without one is required."""
+    for f, kind in _scalar_fields(cls):
+        if f.name not in given:
+            default = _REQUIRED if f.default is dataclasses.MISSING else f.default
+            given[f.name] = _read(data, f.name, kind, default)
+    return cls(**given)
+
+
+def spec_to_dict(spec: ExperimentSpec) -> dict:
+    """The spec as ``spec_from_dict`` reads it, every key written out under the name
+    of the dataclass field it holds (a run's method, iters and x0 and the source
+    kind excepted)."""
+    problem, corruption = spec.problem, spec.problem.corruption
+    kind = "generated" if isinstance(problem.source, GeneratedSource) else "file"
+    runs = []
+    for run in spec.runs:
+        entry = {**_fields_dict(run, skip=("max_iters",)), "method": run.selector.name,
+                 **_fields_dict(run.selector), "iters": run.max_iters, "x0": _x0_dict(run.x0)}
+        if run.stop is not None:
+            entry["stop"] = _fields_dict(run.stop)
+        runs.append(entry)
+    return {**_fields_dict(spec), "runs": runs, "problem": {
+        **_fields_dict(problem), "source": {"kind": kind, **_fields_dict(problem.source)},
+        "corruption": None if corruption is None else _fields_dict(corruption)}}
+
+
 def spec_from_dict(data: dict) -> ExperimentSpec:
-    """Parse the documented experiment JSON schema; a mistyped value raises ValueError."""
+    """Parse the documented experiment JSON schema; a mistyped value raises ValueError.
+
+    An absent key takes the default of the dataclass field it names, and is an
+    error where that field has none.
+    """
     data = _read({"spec": data}, "spec", dict)
     problem_data = _read(data, "problem", dict)
     source_data = _read(problem_data, "source", dict)
     kind = _read(source_data, "kind", str, "generated")
-    if kind == "file":
-        source = FileSource(path=_read(source_data, "path", str))
-    elif kind == "generated":
-        source = GeneratedSource(
-            dist=_read(source_data, "dist", str), m=_read(source_data, "m", int),
-            n=_read(source_data, "n", int), seed=_read(source_data, "seed", int, 0),
-        )
-    else:
+    if kind not in ("generated", "file"):
         raise ValueError(f"unknown source kind {kind!r}")
-    corruption_data = _read(problem_data, "corruption", dict, None)
-    corruption = None
-    if corruption_data is not None:
-        corruption = CorruptionSpec(
-            beta=_read(corruption_data, "beta", float),
-            low=_read(corruption_data, "low", float, 0.0),
-            high=_read(corruption_data, "high", float, 1.0),
-            scale=_read(corruption_data, "scale", float, 1.0),
-            seed=_read(corruption_data, "seed", int, 0),
-        )
-    problem = ProblemSpec(
-        source=source,
-        normalize=_read(problem_data, "normalize", bool, True),
-        corruption=corruption,
-        solution_seed=_read(problem_data, "solution_seed", int, 0),
-    )
+    source = _from_fields(GeneratedSource if kind == "generated" else FileSource, source_data)
+    corruption = _read(problem_data, "corruption", dict, None)
+    problem = _from_fields(ProblemSpec, problem_data, source=source, corruption=(
+        None if corruption is None else _from_fields(CorruptionSpec, corruption)))
     runs = []
     for i, entry in enumerate(_read(data, "runs", list)):
         entry = _read({f"runs[{i}]": entry}, f"runs[{i}]", dict)
-        selector = parse_selector(_read(entry, "method", str), q=_read(entry, "q", float, None),
-                                  q0=_read(entry, "q0", float, None),
-                                  q1=_read(entry, "q1", float, None))
-        stop_data = _read(entry, "stop", dict, None)
-        stop = None
-        if stop_data is not None:
-            stop = StopRule(
-                target_sq_error=_read(stop_data, "target_sq_error", float, None),
-                residual_norm=_read(stop_data, "residual_norm", float, None),
-            )
-        runs.append(RunSpec(label=_read(entry, "label", str), selector=selector,
-                            max_iters=_read(entry, "iters", int), stop=stop,
-                            x0=parse_x0(_read(entry, "x0", str, "origin"))))
-    return ExperimentSpec(
-        problem=problem,
-        runs=tuple(runs),
-        trials=_read(data, "trials", int, 1),
-        seed=_read(data, "seed", int, 0),
-        record_every=_read(data, "record_every", int, 1),
-        fresh_problem_per_trial=_read(data, "fresh_problem_per_trial", bool, True),
-    )
+        method = _read(entry, "method", str)
+        selector = parse_selector(method, **{f.name: _read(entry, f.name, scalar, None)
+                                             for cls in SELECTORS.values()
+                                             for f, scalar in _scalar_fields(cls)})
+        stop = _read(entry, "stop", dict, None)
+        runs.append(_from_fields(
+            RunSpec, entry, selector=selector, max_iters=_read(entry, "iters", int),
+            stop=None if stop is None else _from_fields(StopRule, stop),
+            x0=parse_x0(_read(entry, "x0", str, "origin"))))
+    return _from_fields(ExperimentSpec, data, problem=problem, runs=runs)
 
 
 def summary_dict(result: ExperimentResult) -> dict:

@@ -22,15 +22,11 @@ config) pair replays bit-identically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import (
-    AllZeroWeightsError,
-    DimensionMismatchError,
-    InvalidQuantilesError,
-)
+from .errors import DimensionMismatchError, InvalidQuantilesError
 from .linalg import as_matrix, as_vector, nonzero_row_norms
 from .quantiles import band_ranks, partition_two_sided
 
@@ -112,27 +108,19 @@ class Motzkin:
 SelectorKind = RK | QRK | RQRK | DQRK | Motzkin
 
 
-def parse_selector(method: str, q: float | None = None,
-                   q0: float | None = None, q1: float | None = None) -> SelectorKind:
-    """Build a selector from CLI-style arguments."""
-    method = method.lower()
-    if method == "rk":
-        return RK()
-    if method == "motzkin":
-        return Motzkin()
-    if method == "qrk":
-        if q is None:
-            raise InvalidQuantilesError("qrk needs --q")
-        return QRK(q=q)
-    if method == "rqrk":
-        if q is None:
-            raise InvalidQuantilesError("rqrk needs --q")
-        return RQRK(q=q)
-    if method == "dqrk":
-        if q0 is None or q1 is None:
-            raise InvalidQuantilesError("dqrk needs --q0 and --q1")
-        return DQRK(q0=q0, q1=q1)
-    raise ValueError(f"unknown method {method!r}")
+SELECTORS = {kind.name: kind for kind in (RK, QRK, RQRK, DQRK, Motzkin)}
+
+
+def parse_selector(method: str, **quantiles: float | None) -> SelectorKind:
+    """Build the selector named ``method`` from the ``quantiles`` that are its fields."""
+    kind = SELECTORS.get(method.lower())
+    if kind is None:
+        raise ValueError(f"unknown method {method!r}")
+    names = [f.name for f in fields(kind)]
+    if any(quantiles.get(name) is None for name in names):
+        raise InvalidQuantilesError(
+            f"{kind.name} needs " + " and ".join(f"--{name}" for name in names))
+    return kind(**{name: quantiles[name] for name in names})
 
 
 # --------------------------------------------------------------------------
@@ -144,13 +132,11 @@ def weighted_sample(cum_weights: np.ndarray, rng: np.random.Generator) -> int:
 
     Takes the running totals ``np.cumsum(weights)`` of nonnegative weights,
     so that a caller drawing many times from the same weights sums them
-    once. Consumes exactly one uniform variate. Raises AllZeroWeightsError
-    when no weight is positive.
+    once. Consumes exactly one uniform variate. Some weight must be positive,
+    as in ``solve``: its weights are at least ``ZERO_ROW_TOL**2`` and every
+    band holds a row.
     """
-    total = cum_weights[-1]
-    if not total > 0.0:
-        raise AllZeroWeightsError("all sampling weights are zero")
-    i = int(np.searchsorted(cum_weights, rng.random() * total, side="right"))
+    i = int(np.searchsorted(cum_weights, rng.random() * cum_weights[-1], side="right"))
     # past the end, or onto a zero weight, only on a floating-point boundary hit
     i = min(i, len(cum_weights) - 1)
     while i > 0 and cum_weights[i] == cum_weights[i - 1]:
@@ -315,7 +301,6 @@ class SolveTrace:
     final_x: np.ndarray
     iterations: int
     termination: str
-    seed: int
 
 
 def solve(
@@ -425,5 +410,4 @@ def solve(
         final_x=x,
         iterations=k,
         termination=termination,
-        seed=config.seed,
     )

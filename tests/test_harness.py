@@ -63,6 +63,14 @@ def small_spec(**overrides):
     return ExperimentSpec(**base)
 
 
+def assert_defaults(obj, given=()):
+    """Every field of ``obj`` not named in ``given`` holds its dataclass default."""
+    for f in dataclasses.fields(obj):
+        if f.name not in given:
+            default = f.default_factory() if f.default is dataclasses.MISSING else f.default
+            assert getattr(obj, f.name) == default, f.name
+
+
 def _specs():
     """Experiment specs over both sources, every selector, x0 policy, stop rule
     and corruption; file paths come as str or Path."""
@@ -312,6 +320,26 @@ class TestArtifacts:
     @given(spec=_specs())
     def test_spec_json_roundtrip(self, spec):
         assert spec_from_dict(json.loads(json.dumps(spec_to_dict(spec)))) == spec
+
+    def test_absent_optional_keys_take_the_dataclass_defaults(self):
+        source = {"dist": "gaussian", "m": 40, "n": 5}
+        spec = spec_from_dict({
+            "problem": {"source": source, "corruption": {"beta": 0.1}},
+            "runs": [{"label": "stopped", "method": "rk", "iters": 3, "stop": {}},
+                     {"label": "free", "method": "rk", "iters": 3}],
+        })
+        assert_defaults(spec, given=("problem", "runs"))
+        assert_defaults(spec.problem, given=("source", "corruption"))
+        assert isinstance(spec.problem.source, GeneratedSource)
+        assert_defaults(spec.problem.source, given=("dist", "m", "n"))
+        assert_defaults(spec.problem.corruption, given=("beta",))
+        stopped, free = spec.runs
+        assert_defaults(stopped, given=("label", "selector", "max_iters", "stop"))
+        assert_defaults(stopped.stop)
+        assert_defaults(free, given=("label", "selector", "max_iters"))
+        bare = spec_from_dict({"problem": {"source": source},
+                               "runs": [{"label": "free", "method": "rk", "iters": 3}]})
+        assert_defaults(bare.problem, given=("source",))
 
     def test_integral_floats_are_integers(self):
         # JSON has one number type; 2.0 is as integral as 2

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quantile_kaczmarz import (
-    AllZeroWeightsError,
     DQRK,
     DenseSystem,
     GroundTruth,
@@ -31,7 +30,7 @@ from quantile_kaczmarz import (
 from quantile_kaczmarz.linalg import row_norms
 from quantile_kaczmarz.problems import CorruptionSpec, GeneratedSource, ProblemSpec
 from quantile_kaczmarz.quantiles import band_ranks, partition_two_sided, quantile_rank
-from quantile_kaczmarz.solver import TraceRecord, select_row, weighted_sample
+from quantile_kaczmarz.solver import SELECTORS, TraceRecord, select_row, weighted_sample
 
 from conftest import step_from
 
@@ -113,7 +112,7 @@ def two_matvec_solve(system, config, record_every=1, record=True):
                        or termination is not None):
             records.append(TraceRecord(k, i, low, high, sq_err, residual_norm_at(x)))
     return SolveTrace(records=tuple(records), final_x=x, iterations=iterations,
-                      termination=termination or "max_iters", seed=config.seed)
+                      termination=termination or "max_iters")
 
 
 def float_bits(value):
@@ -144,8 +143,27 @@ class TestSelectorKinds:
         assert parse_selector("qrk", q=0.7) == QRK(0.7)
         assert parse_selector("dqrk", q0=0.2, q1=0.9) == DQRK(0.2, 0.9)
         assert parse_selector("motzkin") == Motzkin()
+        # each selector reads only its own fields
+        assert parse_selector("RK", q=0.5, q0=None) == RK()
+        assert parse_selector("rqrk", q=0.5, q0=0.1, q1=0.9) == RQRK(0.5)
         with pytest.raises(InvalidQuantilesError):
             parse_selector("rqrk")
+        with pytest.raises(ValueError, match="unknown method 'kaczmarz'"):
+            parse_selector("kaczmarz")
+
+    def test_selectors_are_keyed_by_their_names(self):
+        assert SELECTORS == {"rk": RK, "qrk": QRK, "rqrk": RQRK, "dqrk": DQRK,
+                             "motzkin": Motzkin}
+
+    @pytest.mark.parametrize("method, quantiles, message", [
+        ("qrk", {}, "qrk needs --q"),
+        ("rqrk", {"q0": 0.2, "q1": 0.9}, "rqrk needs --q"),
+        ("dqrk", {"q0": 0.2}, "dqrk needs --q0 and --q1"),
+        ("dqrk", {"q": 0.5, "q0": 0.2, "q1": None}, "dqrk needs --q0 and --q1"),
+    ])
+    def test_missing_quantile_names_every_field(self, method, quantiles, message):
+        with pytest.raises(InvalidQuantilesError, match=f"^{message}$"):
+            parse_selector(method, **quantiles)
 
 
 def reference_ranks(kind, m):
@@ -212,10 +230,6 @@ class TestWeightedSample:
         freq1 = draws.mean()
         assert abs(freq1 - 0.75) < 0.01
         assert abs((1 - freq1) - 0.25) < 0.01
-
-    def test_all_zero_raises(self):
-        with pytest.raises(AllZeroWeightsError):
-            sample([0.0, 0.0], rng_with(3))
 
     def test_zero_weight_never_chosen(self):
         rng = rng_with(4)
