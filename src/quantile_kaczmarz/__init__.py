@@ -33,7 +33,6 @@ from .errors import (
     ZeroRowError,
 )
 from .harness import (
-    BenchReport,
     DiagnosticRow,
     ExperimentResult,
     ExperimentSpec,

@@ -23,9 +23,3 @@ def atomic_writer(path):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def atomic_write_text(path, text: str) -> None:
-    """Write a file via a same-directory temp file and rename."""
-    with atomic_writer(path) as fh:
-        fh.write(text)

@@ -30,7 +30,7 @@ from typing import ClassVar
 import numpy as np
 import scipy
 
-from ._util import atomic_write_text, atomic_writer
+from ._util import atomic_writer
 from ._version import __version__
 from .bounds import robustness_diagnostic
 from .errors import QuantileKaczmarzError
@@ -136,7 +136,6 @@ class ExperimentResult:
     spec: ExperimentSpec
     traces: dict[tuple[str, int], SolveTrace]
     failures: dict[tuple[str, int], str]
-    seeds: dict[tuple[str, int], int]
     seconds: dict[tuple[str, int], float]
 
 
@@ -149,13 +148,13 @@ def run_experiment(spec: ExperimentSpec, record: bool = True) -> ExperimentResul
         # every trial has the same problem seeds; solve never writes to A or b
         systems = [generate_system(problem_for_trial(spec, 0))] * spec.trials
 
-    traces, failures, seeds, seconds = {}, {}, {}, {}
+    traces, failures, seconds = {}, {}, {}
     for trial, system in enumerate(systems):
         for run in spec.runs:
             key = (run.label, trial)
-            seeds[key] = derive_seed(spec.seed, run.label, trial)
             config = SolverConfig(selector=run.selector, max_iters=run.max_iters,
-                                  seed=seeds[key], x0=run.x0, stop=run.stop)
+                                  seed=derive_seed(spec.seed, run.label, trial),
+                                  x0=run.x0, stop=run.stop)
             start = time.perf_counter()
             try:
                 traces[key] = solve(system, config,
@@ -163,8 +162,7 @@ def run_experiment(spec: ExperimentSpec, record: bool = True) -> ExperimentResul
             except QuantileKaczmarzError as exc:
                 failures[key] = f"{type(exc).__name__}: {exc}"
             seconds[key] = time.perf_counter() - start
-    return ExperimentResult(spec=spec, traces=traces, failures=failures, seeds=seeds,
-                            seconds=seconds)
+    return ExperimentResult(spec=spec, traces=traces, failures=failures, seconds=seconds)
 
 
 # --------------------------------------------------------------------------
@@ -267,22 +265,8 @@ class BenchRow:
         return self.seconds_median / self.iters
 
 
-@dataclass(frozen=True)
-class BenchReport:
-    rows: tuple[BenchRow, ...]
-    failures: dict[tuple[str, int], str]
-
-    def seconds(self, label: str) -> float:
-        for row in self.rows:
-            if row.label == label:
-                return row.seconds_median
-        raise KeyError(label)
-
-    def ratio(self, label_a: str, label_b: str) -> float:
-        return self.seconds(label_a) / self.seconds(label_b)
-
-
-def cost_parity_benchmark(spec: ExperimentSpec) -> BenchReport:
+def cost_parity_benchmark(
+        spec: ExperimentSpec) -> tuple[list[BenchRow], dict[tuple[str, int], str]]:
     """Median-of-``spec.trials`` wall-clock for exactly each run's ``max_iters``.
 
     The solves are ``run_experiment``'s with recording off, no stop rules, one
@@ -290,8 +274,8 @@ def cost_parity_benchmark(spec: ExperimentSpec) -> BenchReport:
     of a trial is solved before the next trial, so after one warmup per run
     the timed solves go round-robin across the runs, and a drift in host speed
     hits every run alike instead of showing up as a ratio between runs. A run
-    with a failed trial gets no row; ``failures`` is ``run_experiment``'s,
-    warmup included.
+    with a failed trial gets no row. Returns the rows, in run order, and
+    ``run_experiment``'s failures, warmup included.
     """
     if any(run.max_iters < 1 for run in spec.runs):
         raise ValueError("iters must be >= 1")
@@ -306,7 +290,7 @@ def cost_parity_benchmark(spec: ExperimentSpec) -> BenchReport:
         if run.label not in failed:
             rows.append(BenchRow(label=run.label, iters=run.max_iters, seconds=times,
                                  seconds_median=float(statistics.median(times))))
-    return BenchReport(rows=tuple(rows), failures=result.failures)
+    return rows, result.failures
 
 
 # --------------------------------------------------------------------------
@@ -362,18 +346,18 @@ TRAJECTORY_COLUMNS = ["label", "trial", "iteration", "squared_error",
                       "residual_norm", "chosen_row", "Q0", "Q1"]
 
 
-def write_trajectory_csv(result: ExperimentResult, path) -> None:
-    """One row per trace record, sorted by (label, trial, iteration).
-
-    The records go to ``csv.writer`` as they are and stream into the file."""
+def write_csv(path, columns, rows) -> None:
+    """Write the header ``columns``, then stream ``rows``, an iterable of sequences."""
     with atomic_writer(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(TRAJECTORY_COLUMNS)
-        for label, trial in sorted(result.traces):
-            writer.writerows(
-                (label, trial, rec.iteration, rec.sq_error, rec.residual_norm,
-                 rec.row, rec.q0_value, rec.q1_value)
-                for rec in result.traces[(label, trial)].records)
+        writer.writerow(columns)
+        writer.writerows(rows)
+
+
+def write_json(path, payload) -> None:
+    """Write ``payload`` as JSON with sorted keys, two-space indents and a final newline."""
+    with atomic_writer(path) as fh:
+        fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def write_table(rows, row_type, path, fmt: str = "csv") -> None:
@@ -382,15 +366,11 @@ def write_table(rows, row_type, path, fmt: str = "csv") -> None:
     The CSV columns are ``row_type.CSV_COLUMNS``, fields or properties
     derived from them; the JSON objects hold every field.
     """
-    with atomic_writer(path) as fh:
-        if fmt == "json":
-            json.dump([dataclasses.asdict(r) for r in rows], fh, sort_keys=True, indent=2)
-            fh.write("\n")
-        else:
-            columns = row_type.CSV_COLUMNS
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(columns)
-            writer.writerows([getattr(r, c) for c in columns] for r in rows)
+    if fmt == "json":
+        write_json(path, [dataclasses.asdict(r) for r in rows])
+    else:
+        write_csv(path, row_type.CSV_COLUMNS,
+                  ([getattr(r, c) for c in row_type.CSV_COLUMNS] for r in rows))
 
 
 def _x0_dict(policy: X0Policy):
@@ -400,14 +380,16 @@ def _x0_dict(policy: X0Policy):
 
 
 def parse_x0(text: str) -> X0Policy:
-    """Parse an x0 policy: "origin", "hyperplane" or "hyperplane:<row>"."""
+    """Parse an x0 policy: "origin", "hyperplane" or "hyperplane:<row>", a row >= 0."""
     if text == "origin":
         return Origin()
     if text == "hyperplane":
         return OnHyperplane()
-    if text.startswith("hyperplane:"):
-        return OnHyperplane(row=int(text.split(":", 1)[1]))
-    raise ValueError(f"unknown x0 policy {text!r}")
+    head, _, row = text.partition(":")
+    if head == "hyperplane" and row.isdecimal():
+        return OnHyperplane(row=int(row))
+    raise ValueError("'x0' must be \"origin\", \"hyperplane\" or \"hyperplane:<row>\" "
+                     f"with a row >= 0, got {text!r}")
 
 
 _REQUIRED = object()
@@ -451,13 +433,22 @@ def _fields_dict(obj, skip=()) -> dict:
             for f, kind in _scalar_fields(obj) if f.name not in skip}
 
 
-def _from_fields(cls, data: dict, **given):
+def _from_fields(cls, data: dict, where: str, keys=(), **given):
     """``cls(**given)`` with every other scalar field read from ``data`` by name, as
-    its annotated kind, with the dataclass default; a field without one is required."""
+    its annotated kind, with the dataclass default; a field without one is required.
+
+    ``keys`` names the other keys of ``data`` that the caller reads; a key of
+    ``data`` that is neither is an error naming it and ``where`` it is.
+    """
+    known = set(keys)
     for f, kind in _scalar_fields(cls):
         if f.name not in given:
+            known.add(f.name)
             default = _REQUIRED if f.default is dataclasses.MISSING else f.default
             given[f.name] = _read(data, f.name, kind, default)
+    unknown = sorted(set(data) - known)
+    if unknown:
+        raise ValueError(f"unknown key {unknown[0]!r} in {where}")
     return cls(**given)
 
 
@@ -480,10 +471,12 @@ def spec_to_dict(spec: ExperimentSpec) -> dict:
 
 
 def spec_from_dict(data: dict) -> ExperimentSpec:
-    """Parse the documented experiment JSON schema; a mistyped value raises ValueError.
+    """Parse the documented experiment JSON schema; a mistyped value or an unknown
+    key raises ValueError.
 
     An absent key takes the default of the dataclass field it names, and is an
-    error where that field has none.
+    error where that field has none. The retired top-level keys "workers" and
+    "outputs" are ignored.
     """
     data = _read({"spec": data}, "spec", dict)
     problem_data = _read(data, "problem", dict)
@@ -491,23 +484,30 @@ def spec_from_dict(data: dict) -> ExperimentSpec:
     kind = _read(source_data, "kind", str, "generated")
     if kind not in ("generated", "file"):
         raise ValueError(f"unknown source kind {kind!r}")
-    source = _from_fields(GeneratedSource if kind == "generated" else FileSource, source_data)
+    source = _from_fields(GeneratedSource if kind == "generated" else FileSource,
+                          source_data, "problem.source", keys=("kind",))
     corruption = _read(problem_data, "corruption", dict, None)
-    problem = _from_fields(ProblemSpec, problem_data, source=source, corruption=(
-        None if corruption is None else _from_fields(CorruptionSpec, corruption)))
+    if corruption is not None:
+        corruption = _from_fields(CorruptionSpec, corruption, "problem.corruption")
+    problem = _from_fields(ProblemSpec, problem_data, "problem", keys=("source", "corruption"),
+                           source=source, corruption=corruption)
     runs = []
     for i, entry in enumerate(_read(data, "runs", list)):
-        entry = _read({f"runs[{i}]": entry}, f"runs[{i}]", dict)
+        where = f"runs[{i}]"
+        entry = _read({where: entry}, where, dict)
         method = _read(entry, "method", str)
         selector = parse_selector(method, **{f.name: _read(entry, f.name, scalar, None)
                                              for cls in SELECTORS.values()
                                              for f, scalar in _scalar_fields(cls)})
         stop = _read(entry, "stop", dict, None)
         runs.append(_from_fields(
-            RunSpec, entry, selector=selector, max_iters=_read(entry, "iters", int),
-            stop=None if stop is None else _from_fields(StopRule, stop),
+            RunSpec, entry, where,
+            keys=("method", "iters", "stop", "x0", *(f.name for f, _ in _scalar_fields(selector))),
+            selector=selector, max_iters=_read(entry, "iters", int),
+            stop=None if stop is None else _from_fields(StopRule, stop, f"{where}.stop"),
             x0=parse_x0(_read(entry, "x0", str, "origin"))))
-    return _from_fields(ExperimentSpec, data, problem=problem, runs=runs)
+    return _from_fields(ExperimentSpec, data, "spec",
+                        keys=("problem", "runs", "workers", "outputs"), problem=problem, runs=runs)
 
 
 def summary_dict(result: ExperimentResult) -> dict:
@@ -518,7 +518,7 @@ def summary_dict(result: ExperimentResult) -> dict:
         runs.append({
             "label": label,
             "trial": trial,
-            "seed": result.seeds[(label, trial)],
+            "seed": derive_seed(result.spec.seed, label, trial),
             "iterations": trace.iterations,
             "termination": trace.termination,
             "records": len(trace.records),
@@ -541,15 +541,18 @@ def summary_dict(result: ExperimentResult) -> dict:
     }
 
 
-def write_summary_json(result: ExperimentResult, path) -> None:
-    atomic_write_text(path, json.dumps(summary_dict(result), sort_keys=True, indent=2) + "\n")
-
-
 def emit_artifacts(result: ExperimentResult, outdir) -> dict[str, Path]:
     """Write ``trajectory.csv`` and ``summary.json`` into ``outdir``; returns
-    their paths under the keys "trajectory" and "summary"."""
+    their paths under the keys "trajectory" and "summary".
+
+    The trajectory has one row per trace record, sorted by (label, trial,
+    iteration); the records stream into the file as they are."""
     paths = {"trajectory": Path(outdir) / "trajectory.csv",
              "summary": Path(outdir) / "summary.json"}
-    write_trajectory_csv(result, paths["trajectory"])
-    write_summary_json(result, paths["summary"])
+    write_csv(paths["trajectory"], TRAJECTORY_COLUMNS, (
+        (label, trial, rec.iteration, rec.sq_error, rec.residual_norm,
+         rec.row, rec.q0_value, rec.q1_value)
+        for label, trial in sorted(result.traces)
+        for rec in result.traces[(label, trial)].records))
+    write_json(paths["summary"], summary_dict(result))
     return paths

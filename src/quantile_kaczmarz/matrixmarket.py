@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._util import atomic_write_text
+from ._util import atomic_writer
 from .errors import MatrixMarketParseError, UnsupportedFieldError
 from .linalg import as_matrix
 
@@ -230,17 +230,15 @@ def save_matrix_market(path, a: np.ndarray, fmt: str = "array", comment: str | N
     m, n = a.shape
     if fmt not in _FORMATS:
         raise ValueError(f"fmt must be 'array' or 'coordinate', got {fmt!r}")
-    chunks = [f"%%MatrixMarket matrix {fmt} real general\n"]
-    if comment:
-        for line in comment.splitlines():
-            chunks.append(f"%{line}\n")
-    if fmt == "array":
-        chunks.append(f"{m} {n}\n")
-        chunks.append("\n".join(map(repr, a.T.ravel().tolist())) + "\n")
-    else:
-        # -0.0 compares equal to zero but must survive the round trip
-        rows, cols = np.nonzero((a.T != 0) | np.signbit(a.T))
-        chunks.append(f"{m} {n} {rows.size}\n")
-        for j, i in zip(rows, cols):
-            chunks.append(f"{i + 1} {j + 1} {float(a[i, j])!r}\n")
-    atomic_write_text(path, "".join(chunks))
+    with atomic_writer(path) as fh:
+        fh.write(f"%%MatrixMarket matrix {fmt} real general\n")
+        if comment:
+            fh.writelines(f"%{line}\n" for line in comment.splitlines())
+        if fmt == "array":
+            fh.write(f"{m} {n}\n")
+            fh.write("\n".join(map(repr, a.T.ravel().tolist())) + "\n")
+        else:
+            # -0.0 compares equal to zero but must survive the round trip
+            rows, cols = np.nonzero((a.T != 0) | np.signbit(a.T))
+            fh.write(f"{m} {n} {rows.size}\n")
+            fh.writelines(f"{i + 1} {j + 1} {float(a[i, j])!r}\n" for j, i in zip(rows, cols))

@@ -110,9 +110,8 @@ def generate_system(spec: ProblemSpec) -> DenseSystem:
     if spec.normalize:
         a, _ = normalize_rows(a)
 
-    m, n = a.shape
     sol_rng = np.random.Generator(np.random.PCG64(spec.solution_seed))
-    x_star = sol_rng.normal(size=n)
+    x_star = sol_rng.normal(size=a.shape[1])
     b_true = a @ x_star
 
     if spec.corruption is not None:
@@ -123,11 +122,6 @@ def generate_system(spec: ProblemSpec) -> DenseSystem:
     return DenseSystem(
         A=a,
         b=b,
-        ground_truth=GroundTruth(
-            x_star=x_star,
-            b_true=b_true,
-            corrupt_support=support,
-            beta=support.size / m,
-        ),
+        ground_truth=GroundTruth(x_star=x_star, b_true=b_true, corrupt_support=support),
     )
 

@@ -185,16 +185,17 @@ class GroundTruth:
     x_star: np.ndarray
     b_true: np.ndarray
     corrupt_support: np.ndarray
-    beta: float
 
     def __post_init__(self):
         object.__setattr__(self, "x_star", as_vector(self.x_star))
         object.__setattr__(self, "b_true", as_vector(self.b_true))
-        support = np.asarray(self.corrupt_support, dtype=np.int64)
-        object.__setattr__(self, "corrupt_support", support)
-        m = self.b_true.shape[0]
-        if support.size > self.beta * m + 1e-9:
-            raise ValueError("corrupt support larger than beta * m")
+        object.__setattr__(self, "corrupt_support",
+                           np.asarray(self.corrupt_support, dtype=np.int64))
+
+    @property
+    def beta(self) -> float:
+        """The corrupted fraction of the right-hand side's entries."""
+        return self.corrupt_support.size / self.b_true.shape[0]
 
 
 @dataclass(frozen=True)
@@ -247,6 +248,10 @@ class OnHyperplane:
     """
 
     row: int | None = None
+
+    def __post_init__(self):
+        if self.row is not None and self.row < 0:
+            raise ValueError(f"x0 row must be >= 0, got {self.row}")
 
 
 X0Policy = Origin | OnHyperplane

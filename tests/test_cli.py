@@ -195,11 +195,34 @@ class TestExperiment:
         (lambda s: s.update(runs={"label": "rk", "method": "rk", "iters": 30}),
          "'runs' must be a list, got {"),
         (lambda s: s["runs"].append("rk"), "'runs[1]' must be an object, got 'rk'"),
+        (lambda s: s["runs"][0].update(x0="hyperplane:1.5"),
+         "'x0' must be \"origin\", \"hyperplane\" or \"hyperplane:<row>\" with a row >= 0, "
+         "got 'hyperplane:1.5'"),
+        (lambda s: s["runs"][0].update(x0="hyperplane:-2"),
+         "'x0' must be \"origin\", \"hyperplane\" or \"hyperplane:<row>\" with a row >= 0, "
+         "got 'hyperplane:-2'"),
+        (lambda s: s.update(trails=9), "unknown key 'trails' in spec"),
+        (lambda s: s.update(record_evry=5), "unknown key 'record_evry' in spec"),
+        (lambda s: s["problem"].update(normalise=False), "unknown key 'normalise' in problem"),
+        (lambda s: s["problem"]["source"].update(sed=3), "unknown key 'sed' in problem.source"),
+        (lambda s: s["problem"].update(source={"kind": "file", "path": "a.mtx", "seed": 3}),
+         "unknown key 'seed' in problem.source"),
+        (lambda s: s["problem"].update(corruption={"beta": 0.1, "scal": 2}),
+         "unknown key 'scal' in problem.corruption"),
+        (lambda s: s["runs"][0].update(itres=5), "unknown key 'itres' in runs[0]"),
+        (lambda s: s["runs"][0].update(stop={"target_sq_eror": 1e-8}),
+         "unknown key 'target_sq_eror' in runs[0].stop"),
+        (lambda s: s["runs"][0].update(q=0.8), "unknown key 'q' in runs[0]"),
+        (lambda s: s["runs"].append({"label": "q", "method": "qrk", "q": 0.8, "q0": 0.6,
+                                     "iters": 30}),
+         "unknown key 'q0' in runs[1]"),
     ], ids=["normalize-string", "fresh-int", "trials-fraction", "seed-bool", "m-fraction",
             "negative-iters-after-valid-run", "q-string", "beta-string", "label-int",
             "method-int", "stop-string", "q0-bool", "x0-null", "path-int", "unknown-kind",
             "spec-list", "problem-list", "source-string", "corruption-number", "stop-number",
-            "runs-object", "run-string"])
+            "runs-object", "run-string", "x0-fraction-row", "x0-negative-row", "spec-typo",
+            "record-every-typo", "problem-typo", "source-typo", "file-source-seed",
+            "corruption-typo", "run-typo", "stop-typo", "rk-with-q", "qrk-with-q0"])
     def test_bad_spec_value_exits_2_before_any_solve(self, tmp_path, capsys, monkeypatch,
                                                      edit, message):
         solves = []
@@ -320,6 +343,28 @@ class TestBenchAndThreshold:
         assert table["rqrk"]["iterations"] == [None, None]
         assert all(e.startswith("InvalidQuantilesError: rqrk needs 1/m <= q")
                    for e in table["rqrk"]["failures"])
+
+
+def test_json_artifacts_are_sorted_and_indented(tmp_path):
+    # the layout as written: sorted keys, two-space indents, one final newline
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({
+        "seed": 3,
+        "problem": {"source": {"kind": "generated", "dist": "gaussian", "m": 40, "n": 5}},
+        "runs": [{"label": "rqrk", "method": "rqrk", "q": 0.8, "iters": 50}],
+    }))
+    matrix = tmp_path / "stacked.mtx"
+    save_matrix_market(matrix, np.vstack([np.eye(3), np.eye(3)]))
+    out = str(tmp_path / "out")
+    assert run_cli("experiment", str(spec_path), "--out", out) == 0
+    assert run_cli("threshold", str(spec_path), "--format", "json", "--out", out) == 0
+    assert run_cli("diagnose", str(matrix), "--beta", "0.001", "--format", "json",
+                   "--out", out) == 0
+    assert run_cli("bench", "--m", "40", "--n", "4", "--iters", "10", "--repeats", "1",
+                   "--format", "json", "--out", out) == 0
+    for name in ("summary.json", "threshold.json", "diagnostics.json", "bench.json"):
+        text = (tmp_path / "out" / name).read_text()
+        assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n", name
 
 
 class TestEmptyBand:

@@ -44,7 +44,6 @@ from quantile_kaczmarz.harness import (
     problem_for_trial,
     summary_dict,
     write_table,
-    write_trajectory_csv,
 )
 from quantile_kaczmarz.problems import CorruptionSpec, GeneratedSource, ProblemSpec
 
@@ -110,7 +109,7 @@ def _cell(value) -> str:
 
 def cell_trajectory_csv(result) -> bytes:
     """Reference trajectory writer: one dict per record, every cell through
-    ``_cell``. ``write_trajectory_csv`` must match it byte for byte."""
+    ``_cell``. ``emit_artifacts``'s trajectory must match it byte for byte."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(TRAJECTORY_COLUMNS)
@@ -187,7 +186,7 @@ class TestRunExperiment:
         for (label, trial), trace in result.traces.items():
             run = next(run for run in spec.runs if run.label == label)
             alone = solve(generate_system(problem_for_trial(spec, trial)), SolverConfig(
-                run.selector, run.max_iters, seed=result.seeds[(label, trial)]))
+                run.selector, run.max_iters, seed=derive_seed(spec.seed, label, trial)))
             assert trace.records == alone.records
             assert trace.final_x.tobytes() == alone.final_x.tobytes()
 
@@ -238,8 +237,7 @@ class TestArtifacts:
     def test_trajectory_row_count_and_empty_cells(self, tmp_path):
         spec = small_spec(trials=2)
         result = run_experiment(spec)
-        path = tmp_path / "trajectory.csv"
-        write_trajectory_csv(result, path)
+        path = emit_artifacts(result, tmp_path)["trajectory"]
         with open(path) as fh:
             rows = list(csv.DictReader(fh))
         expected = sum(len(t.records) for t in result.traces.values())
@@ -265,9 +263,7 @@ class TestArtifacts:
         ))
         result = run_experiment(spec)
         assert set(result.failures) == {("bad", 0), ("bad", 1)}
-        out = tmp_path / "trajectory.csv"
-        write_trajectory_csv(result, out)
-        text = out.read_bytes()
+        text = emit_artifacts(result, tmp_path)["trajectory"].read_bytes()
         assert text == cell_trajectory_csv(result)
         assert b'"rk, ""plain"""' in text and b'"q,rk"' in text
         rows = list(csv.DictReader(io.StringIO(text.decode())))
@@ -283,14 +279,13 @@ class TestArtifacts:
         # the last trace breaks after the rows before it went to the temp file
         result.traces[("rk", 1)] = dataclasses.replace(trace, records=trace.records + (None,))
         with pytest.raises(AttributeError):
-            write_trajectory_csv(result, path)
+            emit_artifacts(result, tmp_path)
         assert path.read_text() == "previous\n"
         assert [f.name for f in tmp_path.iterdir()] == ["trajectory.csv"]
 
     def test_csv_floats_roundtrip(self, tmp_path):
         result = run_experiment(small_spec())
-        path = tmp_path / "trajectory.csv"
-        write_trajectory_csv(result, path)
+        path = emit_artifacts(result, tmp_path)["trajectory"]
         with open(path) as fh:
             rows = list(csv.DictReader(fh))
         trace = result.traces[("rk", 0)]
@@ -424,15 +419,16 @@ class TestBench:
                               normalize=True, solution_seed=13)
         runs = [RunSpec(label="rk", selector=RK(), max_iters=300),
                 RunSpec(label="qrk", selector=QRK(0.8), max_iters=300)]
-        report = cost_parity_benchmark(ExperimentSpec(problem, runs, trials=3, seed=1))
-        assert report.failures == {}
-        assert report.seconds("rk") > 0
+        rows, failures = cost_parity_benchmark(ExperimentSpec(problem, runs, trials=3, seed=1))
+        assert failures == {}
+        seconds = {row.label: row.seconds_median for row in rows}
+        assert seconds["rk"] > 0
         # no residuals and no quantile pass: plain sampling must be cheaper
-        assert report.seconds("rk") < report.seconds("qrk")
-        write_table(report.rows, BenchRow, tmp_path / "b.csv")
+        assert seconds["rk"] < seconds["qrk"]
+        write_table(rows, BenchRow, tmp_path / "b.csv")
         with open(tmp_path / "b.csv") as fh:
-            rows = list(csv.DictReader(fh))
-        assert [r["label"] for r in rows] == ["rk", "qrk"]
+            parsed = list(csv.DictReader(fh))
+        assert [r["label"] for r in parsed] == ["rk", "qrk"]
 
     def test_repeats_interleave_across_runs_after_warmups(self, monkeypatch):
         # a host that slows down halfway must slow every run alike
@@ -445,10 +441,10 @@ class TestBench:
         monkeypatch.setattr(harness, "solve", spy)
         runs = [RunSpec(label="qrk", selector=QRK(0.8), max_iters=5),
                 RunSpec(label="dqrk", selector=DQRK(0.6, 0.8), max_iters=5)]
-        report = cost_parity_benchmark(ExperimentSpec(self.PROBLEM, runs, trials=3, seed=3))
+        rows, _ = cost_parity_benchmark(ExperimentSpec(self.PROBLEM, runs, trials=3, seed=3))
         assert calls == ["qrk", "dqrk"] * 4
-        assert [row.label for row in report.rows] == ["qrk", "dqrk"]
-        assert all(len(row.seconds) == 3 for row in report.rows)
+        assert [row.label for row in rows] == ["qrk", "dqrk"]
+        assert all(len(row.seconds) == 3 for row in rows)
 
     def test_each_run_solves_its_own_iters_without_stopping(self, monkeypatch):
         iterations = []
@@ -462,9 +458,9 @@ class TestBench:
         stop = StopRule(target_sq_error=1e300)  # met before the first step
         runs = [RunSpec(label="short", selector=RK(), max_iters=7, stop=stop),
                 RunSpec(label="long", selector=QRK(0.8), max_iters=11, stop=stop)]
-        report = cost_parity_benchmark(ExperimentSpec(self.PROBLEM, runs, trials=2))
+        rows, _ = cost_parity_benchmark(ExperimentSpec(self.PROBLEM, runs, trials=2))
         assert iterations == [("rk", 7, "max_iters"), ("qrk", 11, "max_iters")] * 3
-        assert [(row.label, row.iters) for row in report.rows] == [("short", 7), ("long", 11)]
+        assert [(row.label, row.iters) for row in rows] == [("short", 7), ("long", 11)]
 
     def test_zero_iters_rejected_before_any_solve(self, monkeypatch):
         calls = []
@@ -491,8 +487,9 @@ class TestBench:
                               normalize=True, solution_seed=15)
         runs = [RunSpec(label=str(iters), selector=QRK(0.8), max_iters=iters)
                 for iters in (1000, 2000)]
-        report = cost_parity_benchmark(ExperimentSpec(problem, runs, trials=5, seed=2))
-        ratio = report.ratio("2000", "1000")
+        rows, _ = cost_parity_benchmark(ExperimentSpec(problem, runs, trials=5, seed=2))
+        seconds = {row.label: row.seconds_median for row in rows}
+        ratio = seconds["2000"] / seconds["1000"]
         assert 1.5 <= ratio <= 2.5
 
 

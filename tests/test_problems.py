@@ -136,6 +136,10 @@ class TestInitialIterate:
         with pytest.raises(ZeroRowError):
             hyperplane_start(np.zeros((2, 2)), np.ones(2), 1)
 
+    def test_negative_row_rejected_when_built(self):
+        with pytest.raises(ValueError, match="x0 row must be >= 0, got -2"):
+            OnHyperplane(row=-2)
+
 
 class TestMatrixMarket:
     def test_minimal_coordinate_file(self, tmp_path):
