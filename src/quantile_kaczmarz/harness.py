@@ -141,15 +141,19 @@ class ExperimentResult:
 
 def run_experiment(spec: ExperimentSpec, record: bool = True) -> ExperimentResult:
     """Solve every (run, trial) pair, one at a time; per-run failures do not
-    abort the rest. ``seconds`` holds each solve's wall-clock time."""
-    if spec.fresh_problem_per_trial:
-        systems = [generate_system(problem_for_trial(spec, t)) for t in range(spec.trials)]
-    else:
-        # every trial has the same problem seeds; solve never writes to A or b
-        systems = [generate_system(problem_for_trial(spec, 0))] * spec.trials
+    abort the rest. ``seconds`` holds each solve's wall-clock time.
 
+    Trial t's system is built right before its runs and released before
+    trial t+1's is built, so one system, and so one m x n matrix, is alive
+    at a time. With ``fresh_problem_per_trial=False`` every trial solves
+    the one system built before the first.
+    """
+    # every trial has the same problem seeds; solve never writes to A or b
+    shared = None if spec.fresh_problem_per_trial else generate_system(problem_for_trial(spec, 0))
     traces, failures, seconds = {}, {}, {}
-    for trial, system in enumerate(systems):
+    for trial in range(spec.trials):
+        system = (shared if shared is not None
+                  else generate_system(problem_for_trial(spec, trial)))
         for run in spec.runs:
             key = (run.label, trial)
             config = SolverConfig(selector=run.selector, max_iters=run.max_iters,
@@ -162,6 +166,7 @@ def run_experiment(spec: ExperimentSpec, record: bool = True) -> ExperimentResul
             except QuantileKaczmarzError as exc:
                 failures[key] = f"{type(exc).__name__}: {exc}"
             seconds[key] = time.perf_counter() - start
+        del system  # before the next trial's system is built
     return ExperimentResult(spec=spec, traces=traces, failures=failures, seconds=seconds)
 
 

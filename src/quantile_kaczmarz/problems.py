@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .linalg import as_vector, normalize_rows
+from .linalg import as_vector, nonzero_row_norms
 from .matrixmarket import load_matrix_market
 from .quantiles import round_half_up
 from .solver import DenseSystem, GroundTruth
@@ -96,7 +96,13 @@ def corrupt(b_true: np.ndarray, spec: CorruptionSpec) -> tuple[np.ndarray, np.nd
 
 
 def generate_system(spec: ProblemSpec) -> DenseSystem:
-    """Materialize a ProblemSpec into a DenseSystem with full ground truth."""
+    """Materialize a ProblemSpec into a DenseSystem with full ground truth.
+
+    The system holds one m x n array: the one drawn or loaded here, which
+    normalization scales in place (the division ``normalize_rows`` makes,
+    bit for bit, without its copy). So building a normalized system peaks
+    near one matrix, not two.
+    """
     if isinstance(spec.source, GeneratedSource):
         src = spec.source
         rng = np.random.Generator(np.random.PCG64(src.seed))
@@ -108,7 +114,7 @@ def generate_system(spec: ProblemSpec) -> DenseSystem:
         a = load_matrix_market(spec.source.path)
 
     if spec.normalize:
-        a, _ = normalize_rows(a)
+        a /= nonzero_row_norms(a)[:, None]
 
     sol_rng = np.random.Generator(np.random.PCG64(spec.solution_seed))
     x_star = sol_rng.normal(size=a.shape[1])

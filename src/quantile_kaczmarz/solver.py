@@ -329,7 +329,8 @@ def solve(
     after the step when a record or a ``residual_norm`` stop needs it, else
     at the top of the next quantile or Motzkin iteration. A recorded
     iteration therefore costs one matvec, the same as an unrecorded quantile
-    iteration.
+    iteration. The squared error is computed only on an iterate that a
+    ``target_sq_error`` stop or a record reads.
 
     Preconditions raise before the first record: zero rows, an rqrk
     quantile or a dqrk band that does not fit m (``kind.ranks(m)``, once per
@@ -384,7 +385,7 @@ def solve(
         # x is the iterate after k steps; r and nres are its residual and
         # normalized residual once computed
         r = nres = None
-        sq_err = system.sq_error(x) if gt is not None else None
+        sq_err = system.sq_error(x) if target is not None else None
         termination = None
         if target is not None and sq_err <= target:
             termination = "target_sq_error"
@@ -397,6 +398,8 @@ def solve(
         if record and (termination or k % record_every == 0):
             if r is None:
                 r, nres = residual(x)
+            if sq_err is None and gt is not None:
+                sq_err = system.sq_error(x)
             records.append(TraceRecord(k, i, low, high, sq_err, norm(nres)))
         if termination is not None:
             break

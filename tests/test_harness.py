@@ -2,6 +2,8 @@ import csv
 import dataclasses
 import io
 import json
+import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -189,6 +191,48 @@ class TestRunExperiment:
                 run.selector, run.max_iters, seed=derive_seed(spec.seed, label, trial)))
             assert trace.records == alone.records
             assert trace.final_x.tobytes() == alone.final_x.tobytes()
+
+    def test_next_trial_built_after_last_solve(self, monkeypatch):
+        events, built = [], []
+
+        def spy_generate(problem):
+            # every earlier trial's system is already freed
+            assert all(ref() is None for ref in built)
+            system = generate_system(problem)
+            built.append(weakref.ref(system))
+            events.append("build")
+            return system
+
+        def spy_solve(system, config, **kwargs):
+            events.append("solve")
+            return solve(system, config, **kwargs)
+
+        monkeypatch.setattr(harness, "generate_system", spy_generate)
+        monkeypatch.setattr(harness, "solve", spy_solve)
+        run_experiment(small_spec(trials=3, runs=(
+            RunSpec(label="rk", selector=RK(), max_iters=8),
+            RunSpec(label="dqrk", selector=DQRK(0.3, 0.8), max_iters=8),
+        )))
+        assert events == ["build", "solve", "solve"] * 3
+
+    def test_fresh_trials_peak_near_one_matrix(self):
+        # building all five systems first would hold five matrices at once
+        m, n = 1000, 100
+        spec = small_spec(trials=5, problem=ProblemSpec(
+            source=GeneratedSource("gaussian", m, n, seed=1),
+            corruption=CorruptionSpec(beta=0.05, seed=2)), runs=(
+            RunSpec(label="rk", selector=RK(), max_iters=5),
+            RunSpec(label="qrk", selector=QRK(0.8), max_iters=5),
+        ))
+        # a first call imports numpy submodules; keep that out of the peak
+        run_experiment(small_spec(runs=spec.runs), record=False)
+        tracemalloc.start()
+        try:
+            run_experiment(spec, record=False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * m * n * 8
 
     def test_failures_recorded_without_aborting(self):
         spec = small_spec(runs=(

@@ -1,3 +1,5 @@
+import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -24,6 +26,7 @@ from quantile_kaczmarz import (
     solve,
 )
 from quantile_kaczmarz import matrixmarket
+from quantile_kaczmarz.linalg import normalize_rows
 
 from conftest import normalized_residuals
 
@@ -64,6 +67,31 @@ class TestGenerateSystem:
             source=GeneratedSource("uniform", 50, 5, seed=9), normalize=True))
         norms = np.linalg.norm(system.A, axis=1)
         assert np.allclose(norms, 1.0, atol=1e-12)
+
+    @pytest.mark.parametrize("dist", ["gaussian", "uniform"])
+    def test_normalized_in_place_with_normalize_rows_bits(self, dist):
+        spec = ProblemSpec(source=GeneratedSource(dist, 40, 6, seed=12), solution_seed=13,
+                           corruption=CorruptionSpec(beta=0.1, seed=14))
+        raw = generate_system(dataclasses.replace(spec, normalize=False)).A
+        expected, _ = normalize_rows(raw)
+        system = generate_system(spec)
+        gt = system.ground_truth
+        assert system.A.tobytes() == expected.tobytes()
+        assert gt.b_true.tobytes() == (expected @ gt.x_star).tobytes()
+
+    def test_normalized_system_peaks_near_one_matrix(self):
+        # a normalized copy of the drawn matrix would double the peak
+        spec = ProblemSpec(source=GeneratedSource("gaussian", 1000, 200, seed=15),
+                           corruption=CorruptionSpec(beta=0.05, seed=16))
+        # a first call imports numpy submodules; keep that out of the peak
+        generate_system(dataclasses.replace(spec, source=GeneratedSource("gaussian", 20, 4)))
+        tracemalloc.start()
+        try:
+            system = generate_system(spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * system.A.nbytes
 
     def test_unnormalized_when_disabled(self):
         system = generate_system(ProblemSpec(

@@ -568,6 +568,43 @@ class TestRecordDensity:
                 assert record_bits(rec) == record_bits(by_iteration[rec.iteration])
 
 
+class TestSquaredErrorOnDemand:
+    """``sq_error`` runs only where a record or a ``target_sq_error`` stop reads it."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        original = DenseSystem.sq_error
+
+        def spy(system, x):
+            calls.append(x)
+            return original(system, x)
+
+        monkeypatch.setattr(DenseSystem, "sq_error", spy)
+        return calls
+
+    @pytest.mark.parametrize("kind", ALL_SELECTORS, ids=lambda k: k.name)
+    def test_unread_error_is_not_computed(self, calls, kind):
+        system = consistent_system(30, 4, seed=45)
+        config = SolverConfig(kind, 25, seed=14)
+        recorded = solve(system, config)
+        calls.clear()
+        trace = solve(system, config, record=False)
+        assert calls == []
+        assert trace.final_x.tobytes() == recorded.final_x.tobytes()
+        assert trace.iterations == recorded.iterations == 25
+
+    def test_computed_once_per_record_or_stop_check(self, calls):
+        system = consistent_system(30, 4, seed=46)
+        trace = solve(system, SolverConfig(QRK(0.7), 25, seed=15), record_every=10)
+        assert [rec.iteration for rec in trace.records] == [0, 10, 20, 25]
+        assert len(calls) == 4
+        calls.clear()
+        trace = solve(system, SolverConfig(QRK(0.7), 25, seed=15,
+                                           stop=StopRule(target_sq_error=0.0)), record=False)
+        assert len(calls) == trace.iterations + 1 == 26
+
+
 class TestStopRuleEdges:
     """Both stop rules are checked on x0 and on each iterate after its step."""
 
