@@ -47,7 +47,7 @@ from .harness import (
     spec_to_dict,
     time_to_threshold,
 )
-from .linalg import extreme_singular_values, normalize_rows, row_norms
+from .linalg import extreme_singular_values, normalize_rows
 from .matrixmarket import load_matrix_market, save_matrix_market
 from .problems import (
     CorruptionSpec,

@@ -1,9 +1,9 @@
 """Dense matrix/vector primitives shared by the solvers and diagnostics.
 
 Matrices are plain 2-D float64 numpy arrays in row-major order; vectors are
-1-D float64 arrays. The helpers here validate shape and finiteness once so
-the hot loops can assume clean inputs. All functions are pure; arrays are
-never mutated in place.
+1-D float64 arrays. Inputs are checked where they enter, once per matrix
+(``DenseSystem`` runs ``as_matrix`` and ``as_vector`` when it is built), so
+``row_norms`` and the hot loops assume clean inputs. All functions are pure.
 """
 
 from __future__ import annotations
@@ -44,21 +44,12 @@ def as_vector(v, length: int | None = None) -> np.ndarray:
     return out
 
 
-def row_norms(a: np.ndarray) -> tuple[np.ndarray, float]:
-    """Euclidean norm of every row, plus the squared Frobenius norm.
+def row_norms(a: np.ndarray) -> np.ndarray:
+    """Euclidean norm of every row of a matrix that ``as_matrix`` validated.
 
-    Zero rows are reported as 0.0; callers decide whether such rows are
-    selectable.
+    Raises ZeroRowError for the first row with norm below ZERO_ROW_TOL.
     """
-    a = as_matrix(a)
-    sq = np.einsum("ij,ij->i", a, a)
-    return np.sqrt(sq), float(sq.sum())
-
-
-def nonzero_row_norms(a: np.ndarray) -> np.ndarray:
-    """Euclidean norm of every row, raising ZeroRowError for the first row
-    with norm below ZERO_ROW_TOL."""
-    norms, _ = row_norms(a)
+    norms = np.sqrt(np.einsum("ij,ij->i", a, a))
     bad = np.nonzero(norms < ZERO_ROW_TOL)[0]
     if bad.size:
         raise ZeroRowError(index=int(bad[0]), norm=float(norms[bad[0]]))
@@ -74,7 +65,7 @@ def normalize_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ZERO_ROW_TOL.
     """
     a = as_matrix(a)
-    norms = nonzero_row_norms(a)
+    norms = row_norms(a)
     return a / norms[:, None], norms
 
 

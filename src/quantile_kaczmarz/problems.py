@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .linalg import as_vector, nonzero_row_norms
+from .linalg import as_matrix, as_vector, row_norms
 from .matrixmarket import load_matrix_market
 from .quantiles import round_half_up
 from .solver import DenseSystem, GroundTruth
@@ -88,11 +88,10 @@ def corrupt(b_true: np.ndarray, spec: CorruptionSpec) -> tuple[np.ndarray, np.nd
     m = b_true.shape[0]
     count = min(round_half_up(spec.beta * m), m)
     rng = np.random.Generator(np.random.PCG64(spec.seed))
-    support = np.sort(rng.choice(m, size=count, replace=False)) if count else np.empty(0, np.int64)
+    support = np.sort(rng.choice(m, size=count, replace=False))
     b = b_true.copy()
-    if count:
-        b[support] += rng.uniform(spec.low, spec.high, size=count) * spec.scale
-    return b, support.astype(np.int64)
+    b[support] += rng.uniform(spec.low, spec.high, size=count) * spec.scale
+    return b, support
 
 
 def generate_system(spec: ProblemSpec) -> DenseSystem:
@@ -111,10 +110,10 @@ def generate_system(spec: ProblemSpec) -> DenseSystem:
         else:
             a = rng.uniform(size=(src.m, src.n))
     else:
-        a = load_matrix_market(spec.source.path)
+        a = as_matrix(load_matrix_market(spec.source.path))  # a file may hold nan or inf
 
     if spec.normalize:
-        a /= nonzero_row_norms(a)[:, None]
+        a /= row_norms(a)[:, None]
 
     sol_rng = np.random.Generator(np.random.PCG64(spec.solution_seed))
     x_star = sol_rng.normal(size=a.shape[1])

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidQuantilesError
-from .linalg import as_matrix, as_vector, nonzero_row_norms
+from .linalg import as_matrix, as_vector, row_norms
 from .quantiles import band_ranks, partition_two_sided
 
 # --------------------------------------------------------------------------
@@ -200,27 +200,35 @@ class GroundTruth:
 
 @dataclass(frozen=True)
 class DenseSystem:
-    """A linear system A x = b, optionally with its planted ground truth."""
+    """A linear system A x = b, optionally with its planted ground truth,
+    checked once when built: A finite, 2-D and free of zero rows (else
+    ZeroRowError), b finite of length m. ``row_norms`` caches A's row norms
+    for ``solve``, so do not mutate A after building a system."""
 
     A: np.ndarray
     b: np.ndarray
     ground_truth: GroundTruth | None = None
+    row_norms: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a = as_matrix(self.A)
         object.__setattr__(self, "A", a)
         object.__setattr__(self, "b", as_vector(self.b, a.shape[0]))
+        object.__setattr__(self, "row_norms", row_norms(a))
         gt = self.ground_truth
         if gt is not None:
+            m, support = a.shape[0], gt.corrupt_support
             if gt.x_star.shape[0] != a.shape[1]:
                 raise DimensionMismatchError("x_star length must equal n")
-            if gt.b_true.shape[0] != a.shape[0]:
+            if gt.b_true.shape[0] != m:
                 raise DimensionMismatchError("b_true length must equal m")
-            # off-support entries of b - b_true must be exactly zero
-            diff = self.b - gt.b_true
-            mask = np.ones(a.shape[0], dtype=bool)
-            mask[gt.corrupt_support] = False
-            if np.any(diff[mask] != 0.0):
+            outside = support[(support < 0) | (support >= m)]
+            if outside.size:
+                raise DimensionMismatchError(f"corrupt_support index {outside[0]} outside [0, {m})")
+            hits = np.bincount(support, minlength=m)
+            if np.any(hits > 1):
+                raise ValueError(f"corrupt_support repeats index {np.argmax(hits > 1)}")
+            if np.any((self.b != gt.b_true) & (hits == 0)):
                 raise ValueError("b differs from b_true outside the corrupt support")
 
     @property
@@ -332,18 +340,19 @@ def solve(
     iteration. The squared error is computed only on an iterate that a
     ``target_sq_error`` stop or a record reads.
 
-    Preconditions raise before the first record: zero rows, an rqrk
-    quantile or a dqrk band that does not fit m (``kind.ranks(m)``, once per
-    solve), a ``target_sq_error`` stop without ground truth and an x0 row
-    outside the matrix. Once they hold, no row selection can fail, and
-    ``termination`` is "max_iters", "target_sq_error" or "residual_norm".
+    Preconditions raise before the first record: an rqrk quantile or a dqrk
+    band that does not fit m (``kind.ranks(m)``, once per solve), a
+    ``target_sq_error`` stop without ground truth and an x0 row outside the
+    matrix. Zero rows raise when the ``DenseSystem`` is built, and its cached
+    ``row_norms`` are read here, not recomputed. Then no row selection can
+    fail, and ``termination`` is "max_iters", "target_sq_error" or "residual_norm".
     """
     a, b = system.A, system.b
     m, n = a.shape
     if record_every < 1:
         raise ValueError("record_every must be >= 1")
 
-    norms = nonzero_row_norms(a)
+    norms = system.row_norms
     inv_norms = 1.0 / norms
     sq_norms = norms * norms
     cum_sq_norms = np.cumsum(sq_norms)

@@ -52,7 +52,7 @@ class TestSolve:
         with open(tmp_path / "trajectory.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert rows, "trajectory should not be empty"
-        summary = json.load(open(tmp_path / "summary.json"))
+        summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["runs"][0]["termination"] == "target_sq_error"
 
     def test_missing_problem_flags_runtime_error(self, tmp_path, capsys):
@@ -90,6 +90,46 @@ class TestErrorLine:
         assert line in capsys.readouterr().err
 
 
+class TestZeroRowMatrix:
+    """A matrix with a zero row fails when its system is built, before any solve,
+    whether or not the spec normalizes it."""
+
+    @pytest.fixture
+    def matrix(self, tmp_path):
+        a = np.random.default_rng(3).uniform(0.5, 1.0, size=(20, 3))
+        a[4] = 0.0
+        save_matrix_market(tmp_path / "a.mtx", a)
+        return tmp_path / "a.mtx"
+
+    def argv(self, command, matrix, normalize, tmp_path):
+        if command in ("experiment", "threshold"):
+            spec = {"problem": {"source": {"kind": "file", "path": str(matrix)},
+                                "normalize": normalize},
+                    "runs": [{"label": "rk", "method": "rk", "iters": 10}]}
+            spec_path = tmp_path / "spec.json"
+            spec_path.write_text(json.dumps(spec))
+            return [command, str(spec_path)]
+        flags = ["--matrix", str(matrix), "--iters", "10"] + ["--normalize"] * normalize
+        if command == "solve":
+            return ["solve", *flags, "--method", "rk"]
+        return ["bench", *flags, "--methods", "rk", "--repeats", "1"]
+
+    @pytest.mark.parametrize("normalize", [True, False], ids=["normalized", "raw"])
+    @pytest.mark.parametrize("command", ["experiment", "threshold", "solve", "bench"])
+    def test_exits_2_before_any_solve(self, tmp_path, capsys, monkeypatch, matrix,
+                                      command, normalize):
+        solves = []
+        monkeypatch.setattr(harness, "solve", lambda *args, **kw: solves.append(args))
+        out = tmp_path / "out"
+        code = run_cli(*self.argv(command, matrix, normalize, tmp_path), "--out", str(out))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error: ZeroRowError: row 4 has norm 0.000e+00" in err
+        assert "FAILED" not in err
+        assert solves == []
+        assert not out.exists()
+
+
 class TestExperiment:
     def test_spec_file_roundtrip(self, tmp_path, capsys):
         spec = {
@@ -111,7 +151,7 @@ class TestExperiment:
         code = run_cli("experiment", str(spec_path), "--out", str(tmp_path / "out"))
         assert code == 0
         assert "4 runs completed" in capsys.readouterr().out
-        summary = json.load(open(tmp_path / "out" / "summary.json"))
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert {r["label"] for r in summary["runs"]} == {"rk", "band"}
 
     def test_failed_run_exits_2_after_writing_artifacts(self, tmp_path, capsys):
@@ -134,7 +174,7 @@ class TestExperiment:
         captured = capsys.readouterr()
         assert "1 runs completed, 1 failed" in captured.out
         assert "bad trial 0: FAILED" in captured.err
-        summary = json.load(open(tmp_path / "out" / "summary.json"))
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert [r["label"] for r in summary["runs"]] == ["rk"]
         assert [f["label"] for f in summary["failures"]] == ["bad"]
         assert (tmp_path / "out" / "trajectory.csv").exists()
@@ -338,7 +378,8 @@ class TestBenchAndThreshold:
         assert (rows["qrk"]["trials"], rows["qrk"]["failed"]) == ("2", "0")
         assert (rows["rqrk"]["trials"], rows["rqrk"]["failed"]) == ("2", "2")
         assert float(rows["rqrk"]["reached_fraction"]) == 0.0
-        table = {r["label"]: r for r in json.load(open(tmp_path / "json" / "threshold.json"))}
+        table = {r["label"]: r
+                 for r in json.loads((tmp_path / "json" / "threshold.json").read_text())}
         assert table["qrk"]["failures"] == [None, None]
         assert table["rqrk"]["iterations"] == [None, None]
         assert all(e.startswith("InvalidQuantilesError: rqrk needs 1/m <= q")
@@ -386,7 +427,7 @@ class TestEmptyBand:
     def assert_failed_artifacts(self, out, err, label):
         assert f"{label} trial 0: {self.FAILED}" in err
         assert f"{label} trial 1: {self.FAILED}" in err
-        summary = json.load(open(out / "summary.json"))
+        summary = json.loads((out / "summary.json").read_text())
         assert summary["runs"] == []
         assert [(f["label"], f["trial"]) for f in summary["failures"]] == [
             (label, 0), (label, 1)]

@@ -442,7 +442,7 @@ class TestThreshold:
             rows = list(csv.DictReader(fh))
         assert rows[0]["label"] == "rk"
         assert rows[0]["reached_fraction"] == "1.0"
-        assert json.load(open(tmp_path / "t.json"))[0]["label"] == "rk"
+        assert json.loads((tmp_path / "t.json").read_text())[0]["label"] == "rk"
 
     def test_table_numpy_float_cell(self, tmp_path):
         row = dataclasses.replace(

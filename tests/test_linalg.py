@@ -9,8 +9,8 @@ from quantile_kaczmarz import (
     ZeroRowError,
     extreme_singular_values,
     normalize_rows,
-    row_norms,
 )
+from quantile_kaczmarz.linalg import row_norms
 
 from conftest import normalized_residuals, step_from
 
@@ -22,18 +22,17 @@ def project(x, a, b_i):
 
 class TestRowNorms:
     def test_identity(self):
-        norms, frob_sq = row_norms(np.eye(2))
+        norms = row_norms(np.eye(2))
         assert norms.tolist() == [1.0, 1.0]
-        assert frob_sq == 2.0
 
     def test_three_four_five(self):
-        norms, frob_sq = row_norms(np.array([[3.0, 4.0]]))
+        norms = row_norms(np.array([[3.0, 4.0]]))
         assert norms.tolist() == [5.0]
-        assert frob_sq == 25.0
 
-    def test_zero_row_reported_as_zero(self):
-        norms, _ = row_norms(np.array([[0.0, 0.0], [1.0, 0.0]]))
-        assert norms[0] == 0.0
+    def test_zero_row_raises(self):
+        with pytest.raises(ZeroRowError) as err:
+            row_norms(np.array([[0.0, 0.0], [1.0, 0.0]]))
+        assert err.value.index == 0
 
 
 class TestNormalizeRows:
@@ -60,7 +59,7 @@ class TestNormalizeRows:
     def test_then_row_norms_all_ones(self):
         rng = np.random.default_rng(1)
         a, _ = normalize_rows(rng.uniform(size=(8, 4)))
-        norms, _ = row_norms(a)
+        norms = row_norms(a)
         assert np.allclose(norms, 1.0, atol=1e-12)
 
 

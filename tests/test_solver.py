@@ -1,6 +1,8 @@
 import dataclasses
 import math
+import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 from quantile_kaczmarz import (
     DQRK,
     DenseSystem,
+    DimensionMismatchError,
     GroundTruth,
     InvalidQuantilesError,
     Motzkin,
@@ -60,7 +63,7 @@ def two_matvec_solve(system, config, record_every=1, record=True):
     """
     a, b = system.A, system.b
     m, n = a.shape
-    norms, _ = row_norms(a)
+    norms = row_norms(a)
     inv_norms = 1.0 / norms
     sq_norms = norms * norms
     cum_sq_norms = np.cumsum(sq_norms)
@@ -347,6 +350,31 @@ class TestStep:
             step_from(np.array([[1.0, 0.0], [0.0, 0.0]]), np.zeros(2), np.zeros(2), RK(), seed=5)
 
 
+class TestSystemChecks:
+    """A ``DenseSystem`` is checked once, when it is built."""
+
+    def test_zero_row_rejected_when_built(self):
+        with pytest.raises(ZeroRowError) as err:
+            DenseSystem(np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]]), np.zeros(3))
+        assert err.value.index == 1
+
+    def test_row_norms_cached(self):
+        system = DenseSystem(np.array([[3.0, 4.0], [0.0, 2.0]]), np.zeros(2))
+        assert system.row_norms.tolist() == [5.0, 2.0]
+
+    @pytest.mark.parametrize("support, error, message", [
+        ([-1], DimensionMismatchError, "corrupt_support index -1 outside [0, 3)"),
+        ([0, 3], DimensionMismatchError, "corrupt_support index 3 outside [0, 3)"),
+        ([2, 1, 1], ValueError, "corrupt_support repeats index 1"),
+    ], ids=["negative", "past-the-end", "repeated"])
+    def test_corrupt_support_outside_or_repeated_rejected(self, support, error, message):
+        x_star = np.array([1.0, 2.0])
+        a = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        b_true = a @ x_star
+        with pytest.raises(error, match=re.escape(message)):
+            DenseSystem(a, b_true, GroundTruth(x_star, b_true, support))
+
+
 class TestSolve:
     def test_zero_iterations_trace_only_x0(self):
         system = consistent_system(10, 3, seed=30)
@@ -603,6 +631,22 @@ class TestSquaredErrorOnDemand:
         trace = solve(system, SolverConfig(QRK(0.7), 25, seed=15,
                                            stop=StopRule(target_sq_error=0.0)), record=False)
         assert len(calls) == trace.iterations + 1 == 26
+
+
+@pytest.mark.parametrize("kind", [RK(), DQRK(0.6, 0.8)], ids=lambda k: k.name)
+def test_solve_makes_no_pass_over_a_but_its_matvecs(kind):
+    # the system checked A and cached its row norms; a solve that re-checked
+    # A would allocate an m x n boolean mask, an eighth of A
+    system = consistent_system(2500, 250, seed=47)
+    config = SolverConfig(kind, max_iters=0)
+    solve(system, config, record=False)  # a first call imports numpy submodules
+    tracemalloc.start()
+    try:
+        solve(system, config, record=False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < system.A.nbytes / 16
 
 
 class TestStopRuleEdges:
