@@ -23,7 +23,6 @@ from .bounds import (
 from .errors import (
     BudgetExceededError,
     ConvergenceFailureError,
-    DegenerateConditioningError,
     DimensionMismatchError,
     HypothesisViolationError,
     InvalidQuantilesError,
@@ -79,11 +78,6 @@ from .spectral import (
     leave_one_out_sigma_min,
     subset_sigma_min,
     subset_sigma_min_sampled,
-)
-from .tail_bounds import (
-    TailConditioningBounds,
-    TailConditioningInstance,
-    tail_conditioning_bounds,
 )
 
 # the re-exported names only: importing them also binds each submodule here

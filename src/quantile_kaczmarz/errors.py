@@ -53,10 +53,6 @@ class HypothesisViolationError(QuantileKaczmarzError):
         super().__init__(f"hypothesis violated: {constraint}")
 
 
-class DegenerateConditioningError(QuantileKaczmarzError):
-    """Conditioning on the tail would divide by a (numerically) zero mass."""
-
-
 class MatrixMarketParseError(QuantileKaczmarzError):
     """A Matrix Market file is malformed."""
 

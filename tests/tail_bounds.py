@@ -19,7 +19,9 @@ not comparable with the telescoped bound in general. E f(Y) strictly exceeds
 E f(X) whenever f is non-constant.
 
 Everything here is direct summation over small discrete instances; it
-exists to certify the inequalities the solver analysis builds on.
+exists to certify the inequalities the solver analysis builds on. It is a
+test helper, not part of the package: acceptance criterion 7
+(``tests/test_acceptance.py``) and ``tests/test_tail_bounds.py`` import it.
 """
 
 from __future__ import annotations
@@ -28,7 +30,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateConditioningError
+from quantile_kaczmarz.errors import QuantileKaczmarzError
+
+
+class DegenerateConditioningError(QuantileKaczmarzError):
+    """Conditioning on the tail would divide by a (numerically) zero mass."""
 
 
 @dataclass(frozen=True)

@@ -27,9 +27,7 @@ from quantile_kaczmarz import (
     rqrk_bound,
     run_experiment,
     subset_sigma_min,
-    tail_conditioning_bounds,
     time_to_threshold,
-    TailConditioningInstance,
 )
 from quantile_kaczmarz.problems import (
     CorruptionSpec,
@@ -39,6 +37,7 @@ from quantile_kaczmarz.problems import (
     generate_system,
 )
 from quantile_kaczmarz.quantiles import band_ranks, partition_two_sided
+from tail_bounds import TailConditioningInstance, tail_conditioning_bounds
 
 
 def report_pass(criterion: int, name: str) -> None:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,7 @@ from quantile_kaczmarz import (
     extreme_singular_values,
     normalize_rows,
 )
-from quantile_kaczmarz.linalg import row_norms
+from quantile_kaczmarz.linalg import as_matrix, row_norms
 
 from conftest import normalized_residuals, step_from
 
@@ -18,6 +20,28 @@ from conftest import normalized_residuals, step_from
 def project(x, a, b_i):
     """Project x onto the hyperplane <a, y> = b_i with one solve step."""
     return step_from(a[None, :], np.array([float(b_i)]), x)[0]
+
+
+class TestAsMatrix:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [(0, 0), (7, 3), (-1, -1)])
+    def test_non_finite_entry_raises(self, bad, where):
+        a = np.random.default_rng(2).normal(size=(15, 6))
+        a[where] = bad
+        with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+            as_matrix(a)
+
+    def test_finiteness_check_allocates_no_mask(self):
+        # an m x n boolean mask alone would be a.nbytes / 8
+        a = np.random.default_rng(3).normal(size=(2500, 250))
+        as_matrix(a[:2, :2])  # a first call may import; keep that out of the peak
+        tracemalloc.start()
+        try:
+            as_matrix(a)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < a.nbytes // 64
 
 
 class TestRowNorms:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from quantile_kaczmarz import (
+from tail_bounds import (
     DegenerateConditioningError,
     TailConditioningInstance,
     tail_conditioning_bounds,
