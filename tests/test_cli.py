@@ -515,7 +515,7 @@ print(json.dumps(seen))
 """
 
 
-def test_only_diagnose_loads_scipy_linalg(tmp_path):
+def test_no_subcommand_loads_scipy_linalg(tmp_path):
     # the test process cannot answer this: test_spectral.py imports scipy.linalg
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({
@@ -523,14 +523,18 @@ def test_only_diagnose_loads_scipy_linalg(tmp_path):
         "problem": {"source": {"kind": "generated", "dist": "gaussian", "m": 30, "n": 4}},
         "runs": [{"label": "dqrk", "method": "dqrk", "q0": 0.5, "q1": 0.9, "iters": 50}],
     }))
-    matrix = tmp_path / "stacked.mtx"
-    save_matrix_market(matrix, np.vstack([np.eye(3), np.eye(3)]))
+    # the stacked identity takes the secular path; column 0 of "lonely" is
+    # touched by row 0 alone, whose deletion is eigensolved on its own
+    stacked, lonely = tmp_path / "stacked.mtx", tmp_path / "lonely.mtx"
+    save_matrix_market(stacked, np.vstack([np.eye(3), np.eye(3)]))
+    save_matrix_market(lonely, np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0],
+                                         [0.0, 1.0, -1.0], [0.0, 1.0, 0.0]]))
     commands = [
         ["threshold", ["threshold", str(spec), "--threshold", "1e-6"]],
         ["experiment", ["experiment", str(spec)]],
         ["solve", ["solve", "--m", "30", "--n", "4", "--method", "rk", "--iters", "20"]],
         ["bench", ["bench", "--m", "30", "--n", "4", "--iters", "20", "--repeats", "1"]],
-        ["diagnose", ["diagnose", str(matrix)]],
+        ["diagnose", ["diagnose", str(stacked), str(lonely), "--format", "json"]],
     ]
     proc = subprocess.run(
         [sys.executable, "-c", _IMPORT_PROBE, str(tmp_path), json.dumps(commands)],
@@ -538,4 +542,7 @@ def test_only_diagnose_loads_scipy_linalg(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == {
         "threshold": [0, False], "experiment": [0, False], "solve": [0, False],
-        "bench": [0, False], "diagnose": [0, True]}
+        "bench": [0, False], "diagnose": [0, False]}
+    table = json.loads((tmp_path / "diagnose" / "diagnostics.json").read_text())
+    assert {row["matrix"]: row["sigma_loo_min"] for row in table} == {
+        "stacked": pytest.approx(1.0, rel=1e-12), "lonely": 0.0}

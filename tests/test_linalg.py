@@ -194,3 +194,13 @@ class TestExtremeSingularValues:
         rng = np.random.default_rng(5)
         a = rng.normal(size=(7, 3))
         assert extreme_singular_values(a) == pytest.approx(extreme_singular_values(a.T))
+
+    def test_gesvd_fallback_when_gesdd_fails(self, monkeypatch):
+        a = np.random.default_rng(6).normal(size=(30, 8))
+        expected = extreme_singular_values(a)
+
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", no_convergence)
+        assert extreme_singular_values(a) == pytest.approx(expected, rel=1e-12)

@@ -173,7 +173,8 @@ class TestLeaveOneOut:
             a[rng.integers(m, size=m // 3)] = a[rng.integers(m, size=m // 3)]
         assert_matches_oracle(a)
 
-    @pytest.mark.parametrize("m,n", [(7, 6), (31, 30), (101, 100), (120, 100), (40, 3)])
+    @pytest.mark.parametrize("m,n", [(7, 6), (31, 30), (101, 100), (120, 100), (40, 3),
+                                     (400, 292)])
     def test_gaussian_shapes_match_oracle(self, m, n):
         assert_matches_oracle(np.random.default_rng(m * n).normal(size=(m, n)))
 
