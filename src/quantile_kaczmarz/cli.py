@@ -235,7 +235,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (QuantileKaczmarzError, OSError, KeyError, ValueError) as exc:
+    except (QuantileKaczmarzError, OSError, KeyError, ValueError, MemoryError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return RUNTIME_ERROR
 

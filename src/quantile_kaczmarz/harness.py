@@ -336,7 +336,7 @@ def diagnostic_report(paths, q0: float, q1: float, beta: float) -> list[Diagnost
             value = robustness_diagnostic(sigma_max, sigma_loo, q0, q1, beta, m)
             out.append(DiagnosticRow(matrix=path.stem, rows=m, cols=n,
                                      sigma_loo_min=sigma_loo, diagnostic=value))
-        except (QuantileKaczmarzError, OSError, ValueError) as exc:
+        except (QuantileKaczmarzError, OSError, ValueError, MemoryError) as exc:
             out.append(DiagnosticRow(matrix=path.stem, rows=None, cols=None,
                                      sigma_loo_min=None, diagnostic=None,
                                      error=f"{type(exc).__name__}: {exc}"))

@@ -7,20 +7,24 @@ raise UnsupportedFieldError. Coordinate files densify with unlisted entries
 zero; duplicate coordinate entries are summed; indices are 1-based per the
 format; ``%`` comment lines are skipped.
 
-Array-format values are stored in column-major order. The file is read
-once, as bytes. An array body of one number per line and nothing else, as
-the writer produces, is converted in one numpy call; any other body
-(``\\r\\n`` line ends, comments, blank lines, several tokens on a line, bad
-values) is scanned line by line, which reads the first token of each line
-and reports the line of a bad value. Both give the same values. The writer
-emits shortest round-trip decimal representations of every entry, negative
-zeros included, so save/load reproduces a matrix bit-exactly.
+The file is read once, as bytes, and every line comes from one text stream
+over them, which ends lines at ``\\n``, ``\\r\\n`` or ``\\r``. A coordinate
+body streams on from the size line. Array-format values are stored in
+column-major order. An array body of number characters and line ends only,
+as the writer produces, under any of the three line ends, is converted in
+one numpy call. Any other array body (comments, spaces or tabs, several
+tokens on a line, line ends alone, bad values, a wrong count) is scanned
+line by line from the same stream: the first token of each line is read,
+a bad value is reported at its line and a wrong count at the last line.
+Both give the same values. The dense matrix is allocated only once its body
+has been read and counted. The writer emits shortest round-trip decimal
+representations of every entry, negative zeros included, so save/load
+reproduces a matrix bit-exactly.
 """
 
 from __future__ import annotations
 
 import io
-import re
 import warnings
 from pathlib import Path
 
@@ -35,20 +39,21 @@ _FIELDS = {"real", "integer", "pattern"}
 _UNSUPPORTED_FIELDS = {"complex"}
 _SYMMETRIES = {"general", "symmetric"}
 _UNSUPPORTED_SYMMETRIES = {"skew-symmetric", "hermitian"}
-_EOL = re.compile(rb"\r\n?|\n")
-# the bytes of decimal, nan and inf(inity) tokens in either case, and the line end
-_NUMBER_BYTES = b"0123456789+-.eEnNaAiIfFtTyY\n"
+# the bytes of decimal, nan and inf(inity) tokens in either case, and the line ends
+_NUMBER_BYTES = b"0123456789+-.eEnNaAiIfFtTyY\n\r"
 
 
 def load_matrix_market(path) -> np.ndarray:
     """Read a Matrix Market file into a dense (m, n) float64 array."""
     data = Path(path).read_bytes()
-    head = _lines(data)
+    # newline="" keeps each line end as it is, so the lengths of the lines
+    # read sum to the byte offset of the body
+    lines = io.TextIOWrapper(io.BytesIO(data), encoding="ascii", errors="replace", newline="")
 
-    first = next(head, None)
-    if first is None:
+    first = lines.readline()
+    if not first:
         raise MatrixMarketParseError(1, "empty file")
-    header_line = first[0].strip()
+    header_line = first.strip()
     header = header_line.split()
     if len(header) != 5 or header[0].lower() != "%%matrixmarket" or header[1].lower() != "matrix":
         raise MatrixMarketParseError(1, f"bad header {header_line!r}")
@@ -66,10 +71,10 @@ def load_matrix_market(path) -> np.ndarray:
     if fld == "pattern" and fmt == "array":
         raise MatrixMarketParseError(1, "pattern field is only valid for coordinate format")
 
-    lineno = 1
+    lineno, body_offset = 1, len(first)
     size_line = None
-    body_offset = len(data)
-    for lineno, (raw, body_offset) in enumerate(head, start=2):
+    for lineno, raw in enumerate(lines, start=2):
+        body_offset += len(raw)
         stripped = raw.strip()
         if not stripped or stripped.startswith("%"):
             continue
@@ -92,19 +97,16 @@ def load_matrix_market(path) -> np.ndarray:
         if len(dims) != 2:
             raise MatrixMarketParseError(lineno, "array size line needs 'm n'")
         m, n = dims
-        nnz = m * n
     if m < 1 or n < 1:
         raise MatrixMarketParseError(lineno, f"dimensions must be positive, got {m}x{n}")
     if sym == "symmetric" and m != n:
         raise MatrixMarketParseError(lineno, "symmetric storage needs a square matrix")
 
-    out = np.zeros((m, n))
-    seen = 0
     start = lineno + 1
     if fmt == "coordinate":
-        lines = _text_lines(data)
         sums: dict[tuple[int, int], float] = {}
-        for lineno, raw in enumerate(lines[start - 1:], start=start):
+        seen = 0
+        for lineno, raw in enumerate(lines, start=start):
             stripped = raw.strip()
             if not stripped or stripped.startswith("%"):
                 continue
@@ -126,72 +128,36 @@ def load_matrix_market(path) -> np.ndarray:
             seen += 1
         if seen != nnz:
             raise MatrixMarketParseError(lineno, f"expected {nnz} entries, found {seen}")
+        out = np.zeros((m, n))
         for (i, j), v in sums.items():
             out[i, j] = v
-    else:
-        # array format: column-major; symmetric stores the lower triangle only
-        expected = n * (n + 1) // 2 if sym == "symmetric" else m * n
-        values = _array_values(data, body_offset, start, expected)
-        if sym == "symmetric":
-            j, i = np.triu_indices(n)  # (i, j) pairs with i >= j, in column-major order
-            out[i, j] = values
-            out[j, i] = values
-        else:
-            out[:] = values.reshape(n, m).T
+        return out
+
+    # array format: column-major; symmetric stores the lower triangle only
+    expected = n * (n + 1) // 2 if sym == "symmetric" else m * n
+    values = _convert_body(data[body_offset:], expected)
+    if values is None:
+        values, lineno = _scan_array_values(lines, start)
+        if values.size != expected:
+            raise MatrixMarketParseError(lineno, f"expected {expected} values, found {values.size}")
+    if sym == "general":
+        return np.ascontiguousarray(values.reshape(n, m).T)
+    out = np.zeros((n, n))
+    j, i = np.triu_indices(n)  # (i, j) pairs with i >= j, in column-major order
+    out[i, j] = values
+    out[j, i] = values
     return out
-
-
-def _lines(data: bytes):
-    """Yield (text, offset just past the line end) for each line.
-
-    Lines end at ``\\n``, ``\\r\\n`` or ``\\r`` and are decoded as ASCII with
-    replacement, as a text-mode read splits and decodes them.
-    """
-    pos = 0
-    while pos < len(data):
-        eol = _EOL.search(data, pos)
-        end, nxt = (eol.start(), eol.end()) if eol else (len(data), len(data))
-        yield data[pos:end].decode("ascii", errors="replace"), nxt
-        pos = nxt
-
-
-def _text_lines(data: bytes) -> list[str]:
-    """The file's lines as a text-mode ``readlines()`` returns them."""
-    return io.TextIOWrapper(io.BytesIO(data), encoding="ascii", errors="replace").readlines()
-
-
-def _array_values(data: bytes, offset: int, start: int, expected: int) -> np.ndarray:
-    """The ``expected`` values of the array body at byte ``offset`` (line ``start``).
-
-    A body of one number per line and nothing else, with ``\\n`` line ends,
-    as the writer produces, is converted by one ``np.fromstring`` call
-    (``_convert_body``). Every other body (``\\r\\n`` line ends, comments,
-    blank lines, lines of several tokens, bad or missing values) goes to
-    ``_scan_array_values``, the one path that names a bad line; a wrong
-    value count is reported at the last line of the file.
-    """
-    values = _convert_body(data[offset:], expected)
-    if values is not None:
-        return values
-    lines = _text_lines(data)
-    values = _scan_array_values(lines, start)
-    if values.size != expected:
-        raise MatrixMarketParseError(len(lines), f"expected {expected} values, found {values.size}")
-    return values
 
 
 def _convert_body(body: bytes, expected: int) -> np.ndarray | None:
     """The body's values in one numpy call, or None where the line scanner might differ.
 
-    The call is made only on a body of number characters and ``\\n`` line
-    ends with no blank line, so that every line is one token, and its
-    values are kept only when it stopped at no unmatched data and read
-    exactly one value per line, ``expected`` in all. (On a body of
-    whitespace only, numpy returns one value, -1.0.)
+    The call is made only on a body of number characters and line ends, so
+    that no line holds two tokens, and not on one of line ends alone, which
+    numpy reads as -1.0. Its values are kept only when it stopped at no
+    unmatched data and read ``expected`` of them.
     """
-    if (not body or b"\r" in body or body.translate(None, _NUMBER_BYTES)
-            or body.startswith(b"\n") or b"\n\n" in body
-            or body.count(b"\n") + (not body.endswith(b"\n")) != expected):
+    if body.isspace() or body.translate(None, _NUMBER_BYTES):
         return None
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -202,14 +168,16 @@ def _convert_body(body: bytes, expected: int) -> np.ndarray | None:
     return values if values.size == expected else None
 
 
-def _scan_array_values(lines: list[str], start: int) -> np.ndarray:
-    """First token of every value line from line ``start`` (1-based) on, as floats.
+def _scan_array_values(lines, start: int) -> tuple[np.ndarray, int]:
+    """First token of every value line as floats, and the number of the last line.
 
-    Blank and ``%`` lines are skipped; the first bad value raises with its
-    line number.
+    ``lines`` are the file's lines from line ``start`` (1-based) on. Blank
+    and ``%`` lines are skipped; the first bad value raises with its line
+    number. With no lines the last line is ``start - 1``.
     """
     values = []
-    for lineno, raw in enumerate(lines[start - 1:], start=start):
+    lineno = start - 1
+    for lineno, raw in enumerate(lines, start=start):
         stripped = raw.strip()
         if not stripped or stripped.startswith("%"):
             continue
@@ -217,7 +185,7 @@ def _scan_array_values(lines: list[str], start: int) -> np.ndarray:
             values.append(float(stripped.split()[0]))
         except ValueError:
             raise MatrixMarketParseError(lineno, f"bad value {stripped!r}") from None
-    return np.array(values, dtype=np.float64)
+    return np.array(values, dtype=np.float64), lineno
 
 
 def save_matrix_market(path, a: np.ndarray, fmt: str = "array", comment: str | None = None) -> None:

@@ -312,6 +312,44 @@ class TestDiagnose:
         assert [r["matrix"] for r in rows] == ["missing", "ok"]
 
 
+# Runs the CLI in a child whose address space is capped 4 GiB above its size
+# after start-up, so a dense matrix of terabytes raises MemoryError under any
+# overcommit policy.
+_CAPPED_CLI = """
+import resource, sys
+from quantile_kaczmarz.cli import main
+with open("/proc/self/status") as fh:
+    kib = next(int(line.split()[1]) for line in fh if line.startswith("VmSize:"))
+cap = (kib << 10) + (4 << 30)
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="caps the child's RLIMIT_AS")
+def test_matrix_too_large_to_densify_exits_2(tmp_path):
+    huge, good = tmp_path / "huge.mtx", tmp_path / "ok.mtx"
+    huge.write_text("%%MatrixMarket matrix coordinate real general\n1000000 1000000 1\n1 1 1.0\n")
+    save_matrix_market(good, np.vstack([np.eye(2), np.eye(2)]))
+
+    def capped(*argv):
+        return subprocess.run([sys.executable, "-c", _CAPPED_CLI, *argv], env=src_env(),
+                              capture_output=True, text=True, timeout=120)
+
+    proc = capped("diagnose", str(huge), str(good), "--out", str(tmp_path / "diagnose"))
+    assert proc.returncode == 2, proc.stderr
+    assert "huge: FAILED MemoryError" in proc.stderr
+    with open(tmp_path / "diagnose" / "diagnostics.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["matrix"], r["rows"]) for r in rows] == [("huge", ""), ("ok", "4")]
+
+    proc = capped("solve", "--matrix", str(huge), "--method", "rk", "--iters", "5",
+                  "--out", str(tmp_path / "solve"))
+    assert proc.returncode == 2, proc.stderr
+    assert "error: MemoryError: " in proc.stderr
+    assert not (tmp_path / "solve").exists()
+
+
 class TestBenchAndThreshold:
     def test_bench(self, tmp_path, capsys):
         code = run_cli("bench", "--m", "150", "--n", "15", "--dist", "uniform",

@@ -265,6 +265,8 @@ class TestMatrixMarket:
         ("%%MatrixMarket matrix coordinate real general\n2 2 1\n3 1 1.0\n", 3),
         ("%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n", 3),
         ("%%MatrixMarket matrix coordinate real general\n1 1 1\n1 1 oops\n", 3),
+        ("%%MatrixMarket matrix coordinate real general\r\n% c\r\n2 2 2\r\n1 1 1.0\r\n\r\n"
+         "2 2 oops\r\n", 6),
         ("%%MatrixMarket matrix array pattern general\n1 1\n", 1),
         # array format: a bad value after comment and blank lines reports its own line
         ("%%MatrixMarket matrix array real general\n% c\n2 1\n% c\n\n1.0\n% c\noops\n", 8),
@@ -274,6 +276,8 @@ class TestMatrixMarket:
         ("%%MatrixMarket matrix array real general\n1 2\n1.0\n2.0\n3.0\n", 5),
         ("%%MatrixMarket matrix array real symmetric\n2 2\n1.0\n2.0\n3.0\n4.0\n\n", 7),
         ("%%MatrixMarket matrix array real general\n2 2\n", 2),
+        # a size line far beyond the body is a count error, not an allocation of that size
+        ("%%MatrixMarket matrix array real general\n1000000 1000000\n1.0\n", 3),
     ])
     def test_parse_errors_carry_line_numbers(self, tmp_path, content, line):
         path = tmp_path / "bad.mtx"
@@ -307,6 +311,25 @@ class TestMatrixMarket:
         assert load_matrix_market(path).tolist() == [[1.0, 2.0, 3.0],
                                                       [2.0, 4.0, 5.0],
                                                       [3.0, 5.0, 6.0]]
+
+    @pytest.mark.parametrize("header, body, expected", [
+        ("coordinate real general", ["3 2 4", "1 1 1.5", "3 2 -0.0", "2 1 2.5e-3", "1 1 -4"],
+         [[-2.5, 0.0], [2.5e-3, 0.0], [0.0, -0.0]]),
+        ("coordinate real symmetric", ["3 3 4", "1 1 2.0", "3 1 1.25", "3 1 0.5", "2 2 -1"],
+         [[2.0, 0.0, 1.75], [0.0, -1.0, 0.0], [1.75, 0.0, 0.0]]),
+        ("coordinate pattern general", ["2 3 3", "1 1", "1 3", "2 2"],
+         [[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]),
+    ], ids=["general", "symmetric", "pattern"])
+    def test_coordinate_line_ends_read_alike(self, tmp_path, header, body, expected):
+        lines = [f"%%MatrixMarket matrix {header}", "% a comment", "", *body]
+        path = tmp_path / "ends.mtx"
+        loaded = []
+        for newline in ("\n", "\r\n", "\r"):
+            path.write_bytes((newline.join(lines) + newline).encode("ascii"))
+            loaded.append(load_matrix_market(path))
+        assert loaded[0].tolist() == expected
+        for a in loaded[1:]:
+            assert np.array_equal(a.view(np.uint64), loaded[0].view(np.uint64))
 
     def test_duplicate_coordinate_entries_sum(self, tmp_path):
         path = tmp_path / "dup.mtx"
@@ -354,7 +377,7 @@ def _scanner_oracle(path, expected):
     with open(path, encoding="ascii", errors="replace") as fh:
         lines = fh.readlines()
     try:
-        values = matrixmarket._scan_array_values(lines, 3)
+        values, _ = matrixmarket._scan_array_values(lines[2:], 3)
     except MatrixMarketParseError as err:
         return err.line
     return values if values.size == expected else len(lines)
@@ -402,7 +425,8 @@ class TestArrayReaderAgainstScanner:
         finite = ~np.isnan(oracle)
         assert np.array_equal(got[finite].view(np.uint64), oracle[finite].view(np.uint64))
 
-    def test_writer_output_takes_the_one_call_path(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_writer_output_takes_the_one_call_path(self, tmp_path, monkeypatch, newline):
         def no_scan(lines, start):
             raise AssertionError("the line scanner was called")
 
@@ -411,6 +435,7 @@ class TestArrayReaderAgainstScanner:
         a[0, 0], a[1, 0] = -0.0, 5e-324
         path = tmp_path / "fast.mtx"
         save_matrix_market(path, a)
+        path.write_bytes(path.read_bytes().replace(b"\n", newline.encode("ascii")))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             back = load_matrix_market(path)
