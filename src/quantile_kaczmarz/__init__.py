@@ -22,7 +22,6 @@ from .bounds import (
 )
 from .errors import (
     BudgetExceededError,
-    ConvergenceFailureError,
     DimensionMismatchError,
     HypothesisViolationError,
     InvalidQuantilesError,

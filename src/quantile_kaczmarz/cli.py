@@ -17,7 +17,7 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import QuantileKaczmarzError
+from .errors import HANDLED_ERRORS, QuantileKaczmarzError
 from .harness import (
     BenchRow,
     DiagnosticRow,
@@ -235,7 +235,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (QuantileKaczmarzError, OSError, KeyError, ValueError, MemoryError) as exc:
+    except HANDLED_ERRORS as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return RUNTIME_ERROR
 

@@ -20,15 +20,6 @@ class ZeroRowError(QuantileKaczmarzError):
         super().__init__(f"row {index} has norm {norm:.3e}, below the zero-row tolerance")
 
 
-class ConvergenceFailureError(QuantileKaczmarzError):
-    """A factorization did not converge within the attempt budget."""
-
-    def __init__(self, attempts: int, detail: str = ""):
-        self.attempts = int(attempts)
-        msg = f"singular value computation failed after {attempts} attempts"
-        super().__init__(msg + (f": {detail}" if detail else ""))
-
-
 class InvalidQuantilesError(QuantileKaczmarzError):
     """Quantile parameters violate their ordering or range constraints."""
 
@@ -64,3 +55,8 @@ class MatrixMarketParseError(QuantileKaczmarzError):
 
 class UnsupportedFieldError(QuantileKaczmarzError):
     """The Matrix Market file uses a field or symmetry this reader does not handle."""
+
+
+# What ends a CLI command with exit 2, and a diagnosed file with a FAILED row,
+# instead of a traceback; numpy's LinAlgError is a ValueError.
+HANDLED_ERRORS = (QuantileKaczmarzError, OSError, ValueError, MemoryError)

@@ -33,7 +33,7 @@ import scipy
 from ._util import atomic_writer
 from ._version import __version__
 from .bounds import robustness_diagnostic
-from .errors import QuantileKaczmarzError
+from .errors import HANDLED_ERRORS, QuantileKaczmarzError
 from .linalg import extreme_singular_values, normalize_rows
 from .matrixmarket import load_matrix_market
 from .problems import (
@@ -52,7 +52,6 @@ from .solver import (
     SolverConfig,
     StopRule,
     X0Policy,
-    parse_selector,
     solve,
 )
 from .spectral import leave_one_out_sigma_min
@@ -101,6 +100,9 @@ class ExperimentSpec:
         labels = [run.label for run in self.runs]
         if len(set(labels)) != len(labels):
             raise ValueError("run labels must be unique")
+        for label in labels:
+            if label.startswith("problem/"):  # problem_for_trial derives its seeds from these
+                raise ValueError(f"run label {label!r} is reserved for the problem's seeds")
         if not self.runs:
             raise ValueError("at least one run is required")
 
@@ -209,14 +211,10 @@ class ThresholdResult:
 
 
 def _median_iqr(values) -> tuple[float | None, float | None]:
-    values = sorted(values)
     if not values:
         return None, None
-    med = statistics.median(values)
-    if len(values) == 1:
-        return float(med), 0.0
     q1, q3 = np.percentile(values, [25, 75])
-    return float(med), float(q3 - q1)
+    return float(statistics.median(values)), float(q3 - q1)
 
 
 def time_to_threshold(spec: ExperimentSpec, threshold: float) -> list[ThresholdResult]:
@@ -336,7 +334,7 @@ def diagnostic_report(paths, q0: float, q1: float, beta: float) -> list[Diagnost
             value = robustness_diagnostic(sigma_max, sigma_loo, q0, q1, beta, m)
             out.append(DiagnosticRow(matrix=path.stem, rows=m, cols=n,
                                      sigma_loo_min=sigma_loo, diagnostic=value))
-        except (QuantileKaczmarzError, OSError, ValueError, MemoryError) as exc:
+        except HANDLED_ERRORS as exc:
             out.append(DiagnosticRow(matrix=path.stem, rows=None, cols=None,
                                      sigma_loo_min=None, diagnostic=None,
                                      error=f"{type(exc).__name__}: {exc}"))
@@ -402,14 +400,17 @@ _KIND_NAMES = {int: "an integer", float: "a number", bool: "true or false", str:
                dict: "an object", list: "a list"}
 
 
-def _read(data: dict, key: str, kind: type, default=_REQUIRED):
-    """``data[key]`` (``default`` if absent) checked as ``kind``, a key of ``_KIND_NAMES``.
+def _read(data: dict, where: str, key: str, kind: type, default=_REQUIRED):
+    """``data[key]`` (``default`` if absent) checked as ``kind``, a key of ``_KIND_NAMES``;
+    an absent key without a default is an error naming it and ``where`` it is.
 
     JSON has one number type, so 3.0 counts as an int but 2.7 does not, and a
     float field takes any number and returns it as a float; true and false
     are only booleans. A null passes only where the default is None.
     """
-    value = data[key] if default is _REQUIRED else data.get(key, default)
+    if default is _REQUIRED and key not in data:
+        raise ValueError(f"missing key {key!r} in {where}")
+    value = data.get(key, default)
     if value is None and default is None:
         return None
     if isinstance(value, bool) == (kind is bool):
@@ -450,7 +451,7 @@ def _from_fields(cls, data: dict, where: str, keys=(), **given):
         if f.name not in given:
             known.add(f.name)
             default = _REQUIRED if f.default is dataclasses.MISSING else f.default
-            given[f.name] = _read(data, f.name, kind, default)
+            given[f.name] = _read(data, where, f.name, kind, default)
     unknown = sorted(set(data) - known)
     if unknown:
         raise ValueError(f"unknown key {unknown[0]!r} in {where}")
@@ -483,34 +484,35 @@ def spec_from_dict(data: dict) -> ExperimentSpec:
     error where that field has none. The retired top-level keys "workers" and
     "outputs" are ignored.
     """
-    data = _read({"spec": data}, "spec", dict)
-    problem_data = _read(data, "problem", dict)
-    source_data = _read(problem_data, "source", dict)
-    kind = _read(source_data, "kind", str, "generated")
+    data = _read({"spec": data}, "file", "spec", dict)
+    problem_data = _read(data, "spec", "problem", dict)
+    source_data = _read(problem_data, "problem", "source", dict)
+    kind = _read(source_data, "problem.source", "kind", str, "generated")
     if kind not in ("generated", "file"):
         raise ValueError(f"unknown source kind {kind!r}")
     source = _from_fields(GeneratedSource if kind == "generated" else FileSource,
                           source_data, "problem.source", keys=("kind",))
-    corruption = _read(problem_data, "corruption", dict, None)
+    corruption = _read(problem_data, "problem", "corruption", dict, None)
     if corruption is not None:
         corruption = _from_fields(CorruptionSpec, corruption, "problem.corruption")
     problem = _from_fields(ProblemSpec, problem_data, "problem", keys=("source", "corruption"),
                            source=source, corruption=corruption)
     runs = []
-    for i, entry in enumerate(_read(data, "runs", list)):
+    for i, entry in enumerate(_read(data, "spec", "runs", list)):
         where = f"runs[{i}]"
-        entry = _read({where: entry}, where, dict)
-        method = _read(entry, "method", str)
-        selector = parse_selector(method, **{f.name: _read(entry, f.name, scalar, None)
-                                             for cls in SELECTORS.values()
-                                             for f, scalar in _scalar_fields(cls)})
-        stop = _read(entry, "stop", dict, None)
+        entry = _read({where: entry}, "runs", where, dict)
+        method = _read(entry, where, "method", str)
+        if method.lower() not in SELECTORS:
+            raise ValueError(f"unknown method {method!r}")
+        cls = SELECTORS[method.lower()]  # its quantiles are its fields, all required
+        quantiles = {f.name: _read(entry, where, f.name, scalar)
+                     for f, scalar in _scalar_fields(cls)}
+        stop = _read(entry, where, "stop", dict, None)
         runs.append(_from_fields(
-            RunSpec, entry, where,
-            keys=("method", "iters", "stop", "x0", *(f.name for f, _ in _scalar_fields(selector))),
-            selector=selector, max_iters=_read(entry, "iters", int),
+            RunSpec, entry, where, keys=("method", "iters", "stop", "x0", *quantiles),
+            selector=cls(**quantiles), max_iters=_read(entry, where, "iters", int),
             stop=None if stop is None else _from_fields(StopRule, stop, f"{where}.stop"),
-            x0=parse_x0(_read(entry, "x0", str, "origin"))))
+            x0=parse_x0(_read(entry, where, "x0", str, "origin"))))
     return _from_fields(ExperimentSpec, data, "spec",
                         keys=("problem", "runs", "workers", "outputs"), problem=problem, runs=runs)
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConvergenceFailureError, DimensionMismatchError, ZeroRowError
+from .errors import DimensionMismatchError, ZeroRowError
 
 # Rows with Euclidean norm below this are treated as zero rows.
 ZERO_ROW_TOL = 1e-14
@@ -78,16 +78,14 @@ def extreme_singular_values(a: np.ndarray) -> tuple[float, float]:
     """Smallest and largest singular values of a dense matrix.
 
     Computed with LAPACK's divide-and-conquer SVD ('gesdd'), falling back to
-    its QR-iteration SVD driver ('gesvd') if that fails to converge.
+    its QR-iteration SVD driver ('gesvd') if that fails to converge. Raises
+    numpy's LinAlgError, a ValueError, if both fail.
     """
     a = as_matrix(a)
     try:
         s = np.linalg.svd(a, compute_uv=False)
     except np.linalg.LinAlgError:
-        try:
-            import scipy.linalg
+        import scipy.linalg
 
-            s = scipy.linalg.svd(a, compute_uv=False, lapack_driver="gesvd")
-        except Exception as exc:  # pragma: no cover - needs a pathological matrix
-            raise ConvergenceFailureError(attempts=2, detail=str(exc)) from exc
+        s = scipy.linalg.svd(a, compute_uv=False, lapack_driver="gesvd")
     return float(s[-1]), float(s[0])

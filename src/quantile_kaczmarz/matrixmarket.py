@@ -7,14 +7,15 @@ raise UnsupportedFieldError. Coordinate files densify with unlisted entries
 zero; duplicate coordinate entries are summed; indices are 1-based per the
 format; ``%`` comment lines are skipped.
 
-The file is read once, as bytes, and every line comes from one text stream
-over them, which ends lines at ``\\n``, ``\\r\\n`` or ``\\r``. A coordinate
-body streams on from the size line. Array-format values are stored in
-column-major order. An array body of number characters and line ends only,
-as the writer produces, under any of the three line ends, is converted in
-one numpy call. Any other array body (comments, spaces or tabs, several
-tokens on a line, line ends alone, bad values, a wrong count) is scanned
-line by line from the same stream: the first token of each line is read,
+The file is opened as one text stream, which ends lines at ``\\n``,
+``\\r\\n`` or ``\\r``; the header and the size line are read from it, and a
+coordinate body streams on from there. Array-format values are stored in
+column-major order, and an array body's bytes are read once, from the same
+file. An array body of number characters and line ends only, as the writer
+produces, under any of the three line ends, is converted in one numpy call.
+Any other array body (comments, spaces or tabs, several tokens on a line,
+line ends alone, bad values, a wrong count) is scanned line by line from a
+text stream over those bytes: the first token of each line is read,
 a bad value is reported at its line and a wrong count at the last line.
 Both give the same values. The dense matrix is allocated only once its body
 has been read and counted. The writer emits shortest round-trip decimal
@@ -26,7 +27,6 @@ from __future__ import annotations
 
 import io
 import warnings
-from pathlib import Path
 
 import numpy as np
 
@@ -41,103 +41,106 @@ _SYMMETRIES = {"general", "symmetric"}
 _UNSUPPORTED_SYMMETRIES = {"skew-symmetric", "hermitian"}
 # the bytes of decimal, nan and inf(inity) tokens in either case, and the line ends
 _NUMBER_BYTES = b"0123456789+-.eEnNaAiIfFtTyY\n\r"
+# how both text streams decode; newline="" keeps each line end as it is, so
+# the lengths of the lines read sum to the byte offset of the body
+_TEXT = {"encoding": "ascii", "errors": "replace", "newline": ""}
 
 
 def load_matrix_market(path) -> np.ndarray:
     """Read a Matrix Market file into a dense (m, n) float64 array."""
-    data = Path(path).read_bytes()
-    # newline="" keeps each line end as it is, so the lengths of the lines
-    # read sum to the byte offset of the body
-    lines = io.TextIOWrapper(io.BytesIO(data), encoding="ascii", errors="replace", newline="")
+    with open(path, **_TEXT) as lines:
+        first = lines.readline()
+        if not first:
+            raise MatrixMarketParseError(1, "empty file")
+        header_line = first.strip()
+        header = header_line.lower().split()
+        if len(header) != 5 or header[:2] != ["%%matrixmarket", "matrix"]:
+            raise MatrixMarketParseError(1, f"bad header {header_line!r}")
+        fmt, fld, sym = header[2:]
+        if fmt not in _FORMATS:
+            raise MatrixMarketParseError(1, f"unknown format {fmt!r}")
+        if fld in _UNSUPPORTED_FIELDS:
+            raise UnsupportedFieldError(f"field {fld!r} is not supported")
+        if fld not in _FIELDS:
+            raise MatrixMarketParseError(1, f"unknown field {fld!r}")
+        if sym in _UNSUPPORTED_SYMMETRIES:
+            raise UnsupportedFieldError(f"symmetry {sym!r} is not supported")
+        if sym not in _SYMMETRIES:
+            raise MatrixMarketParseError(1, f"unknown symmetry {sym!r}")
+        if fld == "pattern" and fmt == "array":
+            raise MatrixMarketParseError(1, "pattern field is only valid for coordinate format")
 
-    first = lines.readline()
-    if not first:
-        raise MatrixMarketParseError(1, "empty file")
-    header_line = first.strip()
-    header = header_line.split()
-    if len(header) != 5 or header[0].lower() != "%%matrixmarket" or header[1].lower() != "matrix":
-        raise MatrixMarketParseError(1, f"bad header {header_line!r}")
-    fmt, fld, sym = header[2].lower(), header[3].lower(), header[4].lower()
-    if fmt not in _FORMATS:
-        raise MatrixMarketParseError(1, f"unknown format {fmt!r}")
-    if fld in _UNSUPPORTED_FIELDS:
-        raise UnsupportedFieldError(f"field {fld!r} is not supported")
-    if fld not in _FIELDS:
-        raise MatrixMarketParseError(1, f"unknown field {fld!r}")
-    if sym in _UNSUPPORTED_SYMMETRIES:
-        raise UnsupportedFieldError(f"symmetry {sym!r} is not supported")
-    if sym not in _SYMMETRIES:
-        raise MatrixMarketParseError(1, f"unknown symmetry {sym!r}")
-    if fld == "pattern" and fmt == "array":
-        raise MatrixMarketParseError(1, "pattern field is only valid for coordinate format")
-
-    lineno, body_offset = 1, len(first)
-    size_line = None
-    for lineno, raw in enumerate(lines, start=2):
-        body_offset += len(raw)
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("%"):
-            continue
-        size_line = stripped
-        break
-    if size_line is None:
-        raise MatrixMarketParseError(lineno, "missing size line")
-
-    parts = size_line.split()
-    try:
-        dims = [int(p) for p in parts]
-    except ValueError:
-        raise MatrixMarketParseError(lineno, f"non-integer size line {size_line!r}") from None
-
-    if fmt == "coordinate":
-        if len(dims) != 3:
-            raise MatrixMarketParseError(lineno, "coordinate size line needs 'm n nnz'")
-        m, n, nnz = dims
-    else:
-        if len(dims) != 2:
-            raise MatrixMarketParseError(lineno, "array size line needs 'm n'")
-        m, n = dims
-    if m < 1 or n < 1:
-        raise MatrixMarketParseError(lineno, f"dimensions must be positive, got {m}x{n}")
-    if sym == "symmetric" and m != n:
-        raise MatrixMarketParseError(lineno, "symmetric storage needs a square matrix")
-
-    start = lineno + 1
-    if fmt == "coordinate":
-        sums: dict[tuple[int, int], float] = {}
-        seen = 0
-        for lineno, raw in enumerate(lines, start=start):
+        lineno, body_offset = 1, len(first)
+        size_line = None
+        for lineno, raw in enumerate(lines, start=2):
+            body_offset += len(raw)
             stripped = raw.strip()
             if not stripped or stripped.startswith("%"):
                 continue
-            parts = stripped.split()
-            want = 2 if fld == "pattern" else 3
-            if len(parts) != want:
-                raise MatrixMarketParseError(lineno, f"expected {want} tokens, got {len(parts)}")
-            try:
-                i, j = int(parts[0]), int(parts[1])
-                v = 1.0 if fld == "pattern" else float(parts[2])
-            except ValueError:
-                raise MatrixMarketParseError(lineno, f"bad entry {stripped!r}") from None
-            if not (1 <= i <= m and 1 <= j <= n):
-                raise MatrixMarketParseError(lineno, f"index ({i}, {j}) outside {m}x{n}")
-            # sums start at -0.0, the identity of +, so a listed -0.0 stays negative
-            sums[i - 1, j - 1] = sums.get((i - 1, j - 1), -0.0) + v
-            if sym == "symmetric" and i != j:
-                sums[j - 1, i - 1] = sums.get((j - 1, i - 1), -0.0) + v
-            seen += 1
-        if seen != nnz:
-            raise MatrixMarketParseError(lineno, f"expected {nnz} entries, found {seen}")
-        out = np.zeros((m, n))
-        for (i, j), v in sums.items():
-            out[i, j] = v
-        return out
+            size_line = stripped
+            break
+        if size_line is None:
+            raise MatrixMarketParseError(lineno, "missing size line")
 
+        parts = size_line.split()
+        try:
+            dims = [int(p) for p in parts]
+        except ValueError:
+            raise MatrixMarketParseError(lineno, f"non-integer size line {size_line!r}") from None
+
+        if fmt == "coordinate":
+            if len(dims) != 3:
+                raise MatrixMarketParseError(lineno, "coordinate size line needs 'm n nnz'")
+            m, n, nnz = dims
+        else:
+            if len(dims) != 2:
+                raise MatrixMarketParseError(lineno, "array size line needs 'm n'")
+            m, n = dims
+        if m < 1 or n < 1:
+            raise MatrixMarketParseError(lineno, f"dimensions must be positive, got {m}x{n}")
+        if sym == "symmetric" and m != n:
+            raise MatrixMarketParseError(lineno, "symmetric storage needs a square matrix")
+
+        start = lineno + 1
+        if fmt == "coordinate":
+            sums: dict[tuple[int, int], float] = {}
+            seen = 0
+            for lineno, raw in enumerate(lines, start=start):
+                stripped = raw.strip()
+                if not stripped or stripped.startswith("%"):
+                    continue
+                parts = stripped.split()
+                want = 2 if fld == "pattern" else 3
+                if len(parts) != want:
+                    raise MatrixMarketParseError(lineno,
+                                                 f"expected {want} tokens, got {len(parts)}")
+                try:
+                    i, j = int(parts[0]), int(parts[1])
+                    v = 1.0 if fld == "pattern" else float(parts[2])
+                except ValueError:
+                    raise MatrixMarketParseError(lineno, f"bad entry {stripped!r}") from None
+                if not (1 <= i <= m and 1 <= j <= n):
+                    raise MatrixMarketParseError(lineno, f"index ({i}, {j}) outside {m}x{n}")
+                # sums start at -0.0, the identity of +, so a listed -0.0 stays negative
+                sums[i - 1, j - 1] = sums.get((i - 1, j - 1), -0.0) + v
+                if sym == "symmetric" and i != j:
+                    sums[j - 1, i - 1] = sums.get((j - 1, i - 1), -0.0) + v
+                seen += 1
+            if seen != nnz:
+                raise MatrixMarketParseError(lineno, f"expected {nnz} entries, found {seen}")
+            out = np.zeros((m, n))
+            for (i, j), v in sums.items():
+                out[i, j] = v
+            return out
+
+        # the text layer has read ahead, so the body's bytes come from the byte layer
+        lines.buffer.seek(body_offset)
+        body = lines.buffer.read()
     # array format: column-major; symmetric stores the lower triangle only
     expected = n * (n + 1) // 2 if sym == "symmetric" else m * n
-    values = _convert_body(data[body_offset:], expected)
+    values = _convert_body(body, expected)
     if values is None:
-        values, lineno = _scan_array_values(lines, start)
+        values, lineno = _scan_array_values(io.TextIOWrapper(io.BytesIO(body), **_TEXT), start)
         if values.size != expected:
             raise MatrixMarketParseError(lineno, f"expected {expected} values, found {values.size}")
     if sym == "general":

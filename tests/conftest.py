@@ -46,3 +46,15 @@ def normalized_residuals(a, b, x):
         solve(DenseSystem(a[j:j + 1], b[j:j + 1] - a[j:j + 1] @ x),
               SolverConfig(RK(), max_iters=0)).records[0].residual_norm
         for j in range(a.shape[0])])
+
+
+@pytest.fixture
+def svd_fails(monkeypatch):
+    """Make numpy's SVD ('gesdd') and scipy's 'gesvd' fallback both fail to converge."""
+    import scipy.linalg
+
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", no_convergence)
+    monkeypatch.setattr(scipy.linalg, "svd", no_convergence)

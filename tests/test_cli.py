@@ -19,6 +19,15 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+def without(*path):
+    """A spec edit that deletes the key at the end of ``path``, a path into the spec."""
+    def edit(spec):
+        for key in path[:-1]:
+            spec = spec[key]
+        del spec[path[-1]]
+    return edit
+
+
 def src_env():
     """This environment with the checkout's ``src`` first on PYTHONPATH, for a child interpreter."""
     path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
@@ -256,13 +265,35 @@ class TestExperiment:
         (lambda s: s["runs"].append({"label": "q", "method": "qrk", "q": 0.8, "q0": 0.6,
                                      "iters": 30}),
          "unknown key 'q0' in runs[1]"),
+        (without("problem"), "missing key 'problem' in spec"),
+        (without("problem", "source"), "missing key 'source' in problem"),
+        (without("problem", "source", "dist"), "missing key 'dist' in problem.source"),
+        (without("problem", "source", "m"), "missing key 'm' in problem.source"),
+        (without("problem", "source", "n"), "missing key 'n' in problem.source"),
+        (lambda s: s["problem"].update(source={"kind": "file"}),
+         "missing key 'path' in problem.source"),
+        (lambda s: s["problem"].update(corruption={"scale": 2.0}),
+         "missing key 'beta' in problem.corruption"),
+        (without("runs"), "missing key 'runs' in spec"),
+        (without("runs", 0, "label"), "missing key 'label' in runs[0]"),
+        (without("runs", 0, "method"), "missing key 'method' in runs[0]"),
+        (without("runs", 0, "iters"), "missing key 'iters' in runs[0]"),
+        (lambda s: s["runs"].append({"label": "q", "method": "qrk", "iters": 30}),
+         "missing key 'q' in runs[1]"),
+        (lambda s: s["runs"].append({"label": "d", "method": "dqrk", "q1": 0.8, "iters": 30}),
+         "missing key 'q0' in runs[1]"),
+        (lambda s: s["runs"][0].update(label="problem/matrix:0"),
+         "run label 'problem/matrix:0' is reserved"),
     ], ids=["normalize-string", "fresh-int", "trials-fraction", "seed-bool", "m-fraction",
             "negative-iters-after-valid-run", "q-string", "beta-string", "label-int",
             "method-int", "stop-string", "q0-bool", "x0-null", "path-int", "unknown-kind",
             "spec-list", "problem-list", "source-string", "corruption-number", "stop-number",
             "runs-object", "run-string", "x0-fraction-row", "x0-negative-row", "spec-typo",
             "record-every-typo", "problem-typo", "source-typo", "file-source-seed",
-            "corruption-typo", "run-typo", "stop-typo", "rk-with-q", "qrk-with-q0"])
+            "corruption-typo", "run-typo", "stop-typo", "rk-with-q", "qrk-with-q0",
+            "no-problem", "no-source", "no-dist", "no-m", "no-n", "no-path", "no-beta",
+            "no-runs", "no-label", "no-method", "no-iters", "qrk-no-q", "dqrk-no-q0",
+            "reserved-label"])
     def test_bad_spec_value_exits_2_before_any_solve(self, tmp_path, capsys, monkeypatch,
                                                      edit, message):
         solves = []
@@ -310,6 +341,15 @@ class TestDiagnose:
         with open(tmp_path / "diagnostics.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert [r["matrix"] for r in rows] == ["missing", "ok"]
+
+    def test_svd_failure_is_a_failed_row(self, tmp_path, capsys, svd_fails):
+        path = tmp_path / "stacked.mtx"
+        save_matrix_market(path, np.vstack([np.eye(3), np.eye(3)]))
+        assert run_cli("diagnose", str(path), "--out", str(tmp_path)) == 2
+        assert "stacked: FAILED LinAlgError: SVD did not converge" in capsys.readouterr().err
+        with open(tmp_path / "diagnostics.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows[0]["error"] == "LinAlgError: SVD did not converge"
 
 
 # Runs the CLI in a child whose address space is capped 4 GiB above its size

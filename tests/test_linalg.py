@@ -204,3 +204,7 @@ class TestExtremeSingularValues:
 
         monkeypatch.setattr(np.linalg, "svd", no_convergence)
         assert extreme_singular_values(a) == pytest.approx(expected, rel=1e-12)
+
+    def test_both_drivers_failing_raises_linalg_error(self, svd_fails):
+        with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
+            extreme_singular_values(np.eye(3))

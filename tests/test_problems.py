@@ -191,6 +191,20 @@ class TestMatrixMarket:
         expected = [[1.0, 4.0], [2.0, 5.0], [3.0, 6.0]]
         assert load_matrix_market(path).tolist() == expected
 
+    def test_array_load_holds_the_body_once(self, tmp_path):
+        # the body's bytes once, plus numpy's value buffer, which grows to
+        # about twice the matrix; a second copy of the body would add a file
+        path = tmp_path / "arr.mtx"
+        save_matrix_market(path, np.random.default_rng(3).normal(size=(300, 100)))
+        load_matrix_market(path)  # a first call imports numpy submodules
+        tracemalloc.start()
+        try:
+            a = load_matrix_market(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= path.stat().st_size + 3 * a.nbytes
+
     def test_pattern_entries_become_ones(self, tmp_path):
         path = tmp_path / "pat.mtx"
         path.write_text(
