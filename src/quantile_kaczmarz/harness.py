@@ -88,14 +88,14 @@ class ExperimentSpec:
     runs: tuple[RunSpec, ...]
     trials: int = 1
     seed: int = 0
-    record_every: int = 1
+    record_every: int | None = 1  # None records nothing
     fresh_problem_per_trial: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "runs", tuple(self.runs))
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if self.record_every < 1:
+        if self.record_every is not None and self.record_every < 1:
             raise ValueError("record_every must be >= 1")
         labels = [run.label for run in self.runs]
         if len(set(labels)) != len(labels):
@@ -141,7 +141,7 @@ class ExperimentResult:
     seconds: dict[tuple[str, int], float]
 
 
-def run_experiment(spec: ExperimentSpec, record: bool = True) -> ExperimentResult:
+def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     """Solve every (run, trial) pair, one at a time; per-run failures do not
     abort the rest. ``seconds`` holds each solve's wall-clock time.
 
@@ -163,8 +163,7 @@ def run_experiment(spec: ExperimentSpec, record: bool = True) -> ExperimentResul
                                   x0=run.x0, stop=run.stop)
             start = time.perf_counter()
             try:
-                traces[key] = solve(system, config,
-                                    record_every=spec.record_every, record=record)
+                traces[key] = solve(system, config, record_every=spec.record_every)
             except QuantileKaczmarzError as exc:
                 failures[key] = f"{type(exc).__name__}: {exc}"
             seconds[key] = time.perf_counter() - start
@@ -211,10 +210,19 @@ class ThresholdResult:
 
 
 def _median_iqr(values) -> tuple[float | None, float | None]:
+    """The median and the interquartile range, whose quartiles have the bits of
+    ``np.percentile``'s default 'linear' rule; that call imports ``numpy.ma``."""
     if not values:
         return None, None
-    q1, q3 = np.percentile(values, [25, 75])
-    return float(statistics.median(values)), float(q3 - q1)
+    ordered = sorted(values)
+
+    def quartile(p):
+        h = (len(ordered) - 1) * p
+        j = int(h)
+        a, b, t = ordered[j], ordered[min(j + 1, len(ordered) - 1)], h - j
+        return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
+
+    return float(statistics.median(values)), float(quartile(0.75) - quartile(0.25))
 
 
 def time_to_threshold(spec: ExperimentSpec, threshold: float) -> list[ThresholdResult]:
@@ -222,12 +230,12 @@ def time_to_threshold(spec: ExperimentSpec, threshold: float) -> list[ThresholdR
     ``threshold``, censored at the run's iteration cap.
 
     The trials are those of ``run_experiment`` with every run's stop rule
-    replaced by the threshold.
+    replaced by the threshold and recording off.
     """
     stop = StopRule(target_sq_error=threshold)
     result = run_experiment(dataclasses.replace(
-        spec, runs=tuple(dataclasses.replace(run, stop=stop) for run in spec.runs)),
-        record=False)
+        spec, record_every=None,
+        runs=tuple(dataclasses.replace(run, stop=stop) for run in spec.runs)))
     results = []
     for run in spec.runs:
         keys = [(run.label, trial) for trial in range(spec.trials)]
@@ -283,9 +291,8 @@ def cost_parity_benchmark(
     if any(run.max_iters < 1 for run in spec.runs):
         raise ValueError("iters must be >= 1")
     result = run_experiment(dataclasses.replace(
-        spec, trials=spec.trials + 1, fresh_problem_per_trial=False,
-        runs=tuple(dataclasses.replace(run, stop=None) for run in spec.runs)),
-        record=False)
+        spec, trials=spec.trials + 1, fresh_problem_per_trial=False, record_every=None,
+        runs=tuple(dataclasses.replace(run, stop=None) for run in spec.runs)))
     failed = {label for label, _ in result.failures}
     rows = []
     for run in spec.runs:
@@ -481,15 +488,14 @@ def spec_from_dict(data: dict) -> ExperimentSpec:
     key raises ValueError.
 
     An absent key takes the default of the dataclass field it names, and is an
-    error where that field has none. The retired top-level keys "workers" and
-    "outputs" are ignored.
+    error where that field has none.
     """
     data = _read({"spec": data}, "file", "spec", dict)
     problem_data = _read(data, "spec", "problem", dict)
     source_data = _read(problem_data, "problem", "source", dict)
     kind = _read(source_data, "problem.source", "kind", str, "generated")
     if kind not in ("generated", "file"):
-        raise ValueError(f"unknown source kind {kind!r}")
+        raise ValueError(f"unknown source kind {kind!r} in problem.source")
     source = _from_fields(GeneratedSource if kind == "generated" else FileSource,
                           source_data, "problem.source", keys=("kind",))
     corruption = _read(problem_data, "problem", "corruption", dict, None)
@@ -503,7 +509,7 @@ def spec_from_dict(data: dict) -> ExperimentSpec:
         entry = _read({where: entry}, "runs", where, dict)
         method = _read(entry, where, "method", str)
         if method.lower() not in SELECTORS:
-            raise ValueError(f"unknown method {method!r}")
+            raise ValueError(f"unknown method {method!r} in {where}")
         cls = SELECTORS[method.lower()]  # its quantiles are its fields, all required
         quantiles = {f.name: _read(entry, where, f.name, scalar)
                      for f, scalar in _scalar_fields(cls)}
@@ -514,7 +520,7 @@ def spec_from_dict(data: dict) -> ExperimentSpec:
             stop=None if stop is None else _from_fields(StopRule, stop, f"{where}.stop"),
             x0=parse_x0(_read(entry, where, "x0", str, "origin"))))
     return _from_fields(ExperimentSpec, data, "spec",
-                        keys=("problem", "runs", "workers", "outputs"), problem=problem, runs=runs)
+                        keys=("problem", "runs"), problem=problem, runs=runs)
 
 
 def summary_dict(result: ExperimentResult) -> dict:

@@ -319,14 +319,14 @@ class SolveTrace:
 def solve(
     system: DenseSystem,
     config: SolverConfig,
-    record_every: int = 1,
-    record: bool = True,
+    record_every: int | None = 1,
 ) -> SolveTrace:
     """Run up to ``max_iters`` projection steps and collect a trace.
 
     Records iteration 0 (the initial iterate), every ``record_every``-th
-    iteration, the last one and the one that meets a stop rule. The stop
-    rules are checked on x0 and on each new iterate right after its step,
+    iteration, the last one and the one that meets a stop rule;
+    ``record_every=None`` records nothing. The stop rules are checked on x0
+    and on each new iterate right after its step,
     ``target_sq_error`` first. Deterministic given (system, config): every
     random selector consumes exactly one uniform per iteration and the step
     rule depends on the selector alone, so recording changes no bit of the
@@ -349,7 +349,7 @@ def solve(
     """
     a, b = system.A, system.b
     m, n = a.shape
-    if record_every < 1:
+    if record_every is not None and record_every < 1:
         raise ValueError("record_every must be >= 1")
 
     norms = system.row_norms
@@ -404,7 +404,7 @@ def solve(
                 termination = "residual_norm"
         if termination is None and k == config.max_iters:
             termination = "max_iters"
-        if record and (termination or k % record_every == 0):
+        if record_every is not None and (termination or k % record_every == 0):
             if r is None:
                 r, nres = residual(x)
             if sq_err is None and gt is not None:

@@ -2,7 +2,7 @@
 
 Run with ``pytest tests/test_acceptance.py -v`` (add ``-s`` to see the PASS
 lines inline). The two SuiteSparse golden-value tests skip unless the
-matrices are available (see conftest.require_matrix).
+matrices are available (see qk_helpers.require_matrix).
 """
 
 import statistics
@@ -11,7 +11,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from conftest import require_matrix, step_from
+from qk_helpers import require_matrix, step_from
 from quantile_kaczmarz import (
     DQRK,
     ExperimentSpec,

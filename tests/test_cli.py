@@ -188,25 +188,6 @@ class TestExperiment:
         assert [f["label"] for f in summary["failures"]] == ["bad"]
         assert (tmp_path / "out" / "trajectory.csv").exists()
 
-    def test_retired_spec_keys_still_write_both_artifacts(self, tmp_path, capsys):
-        spec = {
-            "seed": 9,
-            "workers": 4,
-            "outputs": ["summary"],
-            "problem": {
-                "source": {"kind": "generated", "dist": "gaussian", "m": 40, "n": 5},
-                "normalize": True,
-            },
-            "runs": [{"label": "rk", "method": "rk", "iters": 30}],
-        }
-        spec_path = tmp_path / "spec.json"
-        spec_path.write_text(json.dumps(spec))
-        code = run_cli("experiment", str(spec_path), "--out", str(tmp_path / "out"))
-        assert code == 0
-        assert "1 runs completed, 0 failed" in capsys.readouterr().out
-        assert sorted(f.name for f in (tmp_path / "out").iterdir()) == [
-            "summary.json", "trajectory.csv"]
-
     def test_missing_spec_file_exits_2(self, tmp_path):
         assert run_cli("experiment", str(tmp_path / "nope.json")) == 2
 
@@ -234,7 +215,7 @@ class TestExperiment:
         (lambda s: s["runs"][0].update(x0=None), "'x0' must be a string, got None"),
         (lambda s: s["problem"].update(source={"kind": "file", "path": 5}),
          "'path' must be a string, got 5"),
-        (lambda s: s["problem"]["source"].update(kind="files"), "unknown source kind 'files'"),
+        (lambda s: s["problem"]["source"].update(kind="files"), "unknown source kind 'files' in problem.source"),
         (lambda s: [1, 2], "'spec' must be an object, got [1, 2]"),
         (lambda s: s.update(problem=[]), "'problem' must be an object, got []"),
         (lambda s: s["problem"].update(source="gaussian"),
@@ -284,6 +265,11 @@ class TestExperiment:
          "missing key 'q0' in runs[1]"),
         (lambda s: s["runs"][0].update(label="problem/matrix:0"),
          "run label 'problem/matrix:0' is reserved"),
+        (lambda s: s["runs"].append({"label": "k", "method": "kaczmarz", "iters": 30}),
+         "unknown method 'kaczmarz' in runs[1]"),
+        (lambda s: s.update(workers=4), "unknown key 'workers' in spec"),
+        (lambda s: s.update(outputs=["summary"]), "unknown key 'outputs' in spec"),
+        (lambda s: s.update(record_every=None), "'record_every' must be an integer, got None"),
     ], ids=["normalize-string", "fresh-int", "trials-fraction", "seed-bool", "m-fraction",
             "negative-iters-after-valid-run", "q-string", "beta-string", "label-int",
             "method-int", "stop-string", "q0-bool", "x0-null", "path-int", "unknown-kind",
@@ -293,7 +279,7 @@ class TestExperiment:
             "corruption-typo", "run-typo", "stop-typo", "rk-with-q", "qrk-with-q0",
             "no-problem", "no-source", "no-dist", "no-m", "no-n", "no-path", "no-beta",
             "no-runs", "no-label", "no-method", "no-iters", "qrk-no-q", "dqrk-no-q0",
-            "reserved-label"])
+            "reserved-label", "unknown-method", "workers", "outputs", "record-every-null"])
     def test_bad_spec_value_exits_2_before_any_solve(self, tmp_path, capsys, monkeypatch,
                                                      edit, message):
         solves = []
@@ -580,7 +566,8 @@ class TestEntryPoint:
 
 
 # Runs each subcommand in turn in one fresh interpreter and prints, per
-# subcommand, its exit code and whether scipy.linalg was loaded after it.
+# subcommand, its exit code and whether scipy.linalg and numpy.ma were loaded
+# after it.
 _IMPORT_PROBE = """
 import json, sys
 from quantile_kaczmarz.cli import main
@@ -588,7 +575,7 @@ tmp, commands = sys.argv[1], json.loads(sys.argv[2])
 seen = {}
 for name, argv in commands:
     code = main(argv + ["--out", f"{tmp}/{name}"])
-    seen[name] = [code, "scipy.linalg" in sys.modules]
+    seen[name] = [code, "scipy.linalg" in sys.modules, "numpy.ma" in sys.modules]
 print(json.dumps(seen))
 """
 
@@ -619,8 +606,9 @@ def test_no_subcommand_loads_scipy_linalg(tmp_path):
         env=src_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == {
-        "threshold": [0, False], "experiment": [0, False], "solve": [0, False],
-        "bench": [0, False], "diagnose": [0, False]}
+        "threshold": [0, False, False], "experiment": [0, False, False],
+        "solve": [0, False, False], "bench": [0, False, False],
+        "diagnose": [0, False, False]}
     table = json.loads((tmp_path / "diagnose" / "diagnostics.json").read_text())
     assert {row["matrix"]: row["sigma_loo_min"] for row in table} == {
         "stacked": pytest.approx(1.0, rel=1e-12), "lonely": 0.0}

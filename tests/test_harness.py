@@ -218,17 +218,17 @@ class TestRunExperiment:
     def test_fresh_trials_peak_near_one_matrix(self):
         # building all five systems first would hold five matrices at once
         m, n = 1000, 100
-        spec = small_spec(trials=5, problem=ProblemSpec(
+        spec = small_spec(trials=5, record_every=None, problem=ProblemSpec(
             source=GeneratedSource("gaussian", m, n, seed=1),
             corruption=CorruptionSpec(beta=0.05, seed=2)), runs=(
             RunSpec(label="rk", selector=RK(), max_iters=5),
             RunSpec(label="qrk", selector=QRK(0.8), max_iters=5),
         ))
         # a first call imports numpy submodules; keep that out of the peak
-        run_experiment(small_spec(runs=spec.runs), record=False)
+        run_experiment(small_spec(runs=spec.runs, record_every=None))
         tracemalloc.start()
         try:
-            run_experiment(spec, record=False)
+            run_experiment(spec)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -263,6 +263,14 @@ class TestRunExperiment:
         # rejected up front, for time_to_threshold too, which records nothing
         with pytest.raises(ValueError):
             small_spec(record_every=0)
+
+    def test_record_every_none_records_nothing(self):
+        result = run_experiment(small_spec(trials=2, record_every=None))
+        recorded = run_experiment(small_spec(trials=2))
+        assert result.traces.keys() == recorded.traces.keys()
+        for key, trace in result.traces.items():
+            assert trace.records == ()
+            assert trace.final_x.tobytes() == recorded.traces[key].final_x.tobytes()
 
     def test_negative_iters_rejected(self):
         # rejected when the spec is built, before another run is solved
@@ -385,12 +393,6 @@ class TestArtifacts:
         data = spec_to_dict(small_spec(trials=2))
         assert spec_from_dict({**data, "trials": 2.0}) == spec_from_dict(data)
 
-    def test_retired_spec_keys_are_ignored(self):
-        # "workers" and "outputs" were spec fields once; old spec files still load
-        data = spec_to_dict(small_spec(trials=2))
-        assert spec_from_dict({**data, "workers": 4, "outputs": ["summary"]}) \
-            == spec_from_dict(data)
-
     def test_emit_writes_both_artifacts(self, tmp_path):
         paths = emit_artifacts(run_experiment(small_spec()), tmp_path)
         assert paths == {"trajectory": tmp_path / "trajectory.csv",
@@ -401,7 +403,30 @@ class TestArtifacts:
         assert "workers" not in summary["spec"] and "outputs" not in summary["spec"]
 
 
+@pytest.mark.parametrize("reduce", [lambda spec: time_to_threshold(spec, 1e-6),
+                                    cost_parity_benchmark], ids=["threshold", "bench"])
+def test_reductions_record_nothing(monkeypatch, reduce):
+    seen = []
+
+    def spy(system, config, record_every=1):
+        seen.append(record_every)
+        return solve(system, config, record_every=record_every)
+
+    monkeypatch.setattr(harness, "solve", spy)
+    reduce(small_spec(trials=2, record_every=3))
+    assert seen and set(seen) == {None}
+
+
 class TestThreshold:
+    @settings(max_examples=500, deadline=None)
+    @given(values=st.one_of(
+        st.lists(st.integers(0, 10**9), min_size=1, max_size=12),
+        st.lists(st.floats(0.0, 1e3), min_size=1, max_size=12)))
+    def test_iqr_has_the_bits_of_np_percentile(self, values):
+        q1, q3 = np.percentile(values, [25, 75])
+        _, iqr = harness._median_iqr(values)
+        assert iqr.hex() == float(q3 - q1).hex()
+
     def test_zero_iterations_when_already_reached(self):
         spec = small_spec(runs=(RunSpec(label="rk", selector=RK(), max_iters=50),))
         # initial error equals |x*|^2 from the origin start; any bigger target
@@ -478,9 +503,9 @@ class TestBench:
         # a host that slows down halfway must slow every run alike
         calls = []
 
-        def spy(system, config, record_every=1, record=True):
+        def spy(system, config, record_every=1):
             calls.append(config.selector.name)
-            return solve(system, config, record_every=record_every, record=record)
+            return solve(system, config, record_every=record_every)
 
         monkeypatch.setattr(harness, "solve", spy)
         runs = [RunSpec(label="qrk", selector=QRK(0.8), max_iters=5),
@@ -493,8 +518,8 @@ class TestBench:
     def test_each_run_solves_its_own_iters_without_stopping(self, monkeypatch):
         iterations = []
 
-        def spy(system, config, record_every=1, record=True):
-            trace = solve(system, config, record_every=record_every, record=record)
+        def spy(system, config, record_every=1):
+            trace = solve(system, config, record_every=record_every)
             iterations.append((config.selector.name, trace.iterations, trace.termination))
             return trace
 

@@ -14,7 +14,7 @@ from quantile_kaczmarz import (
 )
 from quantile_kaczmarz.linalg import as_matrix, row_norms
 
-from conftest import normalized_residuals, step_from
+from qk_helpers import normalized_residuals, step_from
 
 
 def project(x, a, b_i):
@@ -88,7 +88,7 @@ class TestNormalizeRows:
 
 
 class TestNormalizedResiduals:
-    # the residuals solve selects on, read per row (conftest.normalized_residuals)
+    # the residuals solve selects on, read per row (qk_helpers.normalized_residuals)
 
     def test_exact_solution_gives_zeros(self):
         rng = np.random.default_rng(2)

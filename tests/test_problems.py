@@ -28,7 +28,7 @@ from quantile_kaczmarz import (
 from quantile_kaczmarz import matrixmarket
 from quantile_kaczmarz.linalg import normalize_rows
 
-from conftest import normalized_residuals
+from qk_helpers import normalized_residuals
 
 
 class TestGenerateSystem:

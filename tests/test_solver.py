@@ -35,7 +35,7 @@ from quantile_kaczmarz.problems import CorruptionSpec, GeneratedSource, ProblemS
 from quantile_kaczmarz.quantiles import band_ranks, partition_two_sided, quantile_rank
 from quantile_kaczmarz.solver import SELECTORS, TraceRecord, select_row, weighted_sample
 
-from conftest import step_from
+from qk_helpers import step_from
 
 
 def rng_with(seed):
@@ -312,7 +312,7 @@ class TestSelectRow:
 
 class TestStep:
     # one step from an arbitrary x is a one-iteration solve from the origin
-    # of the system shifted by x (conftest.step_from)
+    # of the system shifted by x (qk_helpers.step_from)
 
     def test_solution_is_fixed_point(self):
         system = consistent_system(30, 4, seed=20)
@@ -494,15 +494,13 @@ class TestCarriedResidual:
         planted=st.booleans(),
         kind=st.sampled_from(DIFFERENTIAL_SELECTORS),
         x0=st.sampled_from([Origin(), OnHyperplane(), OnHyperplane(row=1)]),
-        record_every=st.sampled_from([1, 2, 3, 7]),
-        record=st.booleans(),
+        record_every=st.sampled_from([None, 1, 2, 3, 7]),
         stop_kind=st.sampled_from([None, "target_sq_error", "residual_norm"]),
         stop_fraction=st.floats(0.0, 1.2),
         max_iters=st.integers(0, 60),
     )
     def test_matches_two_matvec_loop(self, m, n, seed, normalize, planted, kind, x0,
-                                     record_every, record, stop_kind, stop_fraction,
-                                     max_iters):
+                                     record_every, stop_kind, stop_fraction, max_iters):
         n = min(n, m - 1)  # generated systems are over-determined
         if isinstance(kind, RQRK) and not 1 <= kind.q * m <= m - 1:
             kind = RQRK(0.5)
@@ -522,10 +520,12 @@ class TestCarriedResidual:
         config = SolverConfig(kind, max_iters, seed=seed, x0=x0, stop=stop)
         if band_is_empty(kind, m):
             with pytest.raises(InvalidQuantilesError, match="admissible block is empty"):
-                solve(system, config, record_every=record_every, record=record)
+                solve(system, config, record_every=record_every)
             return
-        got = solve(system, config, record_every=record_every, record=record)
-        want = two_matvec_solve(system, config, record_every=record_every, record=record)
+        got = solve(system, config, record_every=record_every)
+        # the reference records nothing with record=False, which never reads record_every
+        want = two_matvec_solve(system, config, record_every=record_every,
+                                record=record_every is not None)
         assert trace_bits(got) == trace_bits(want)
 
     @pytest.mark.parametrize("max_iters", [0, 20])
@@ -564,12 +564,14 @@ class TestRecordDensity:
         normalize=st.booleans(),
         kind=st.sampled_from(ALL_SELECTORS),
         x0=st.sampled_from([Origin(), OnHyperplane(), OnHyperplane(row=1)]),
+        record_every=st.sampled_from([None, 1, 2, 3, 7]),
         stop_kind=st.sampled_from([None, "target_sq_error", "residual_norm"]),
         stop_fraction=st.floats(0.0, 1.2),
         max_iters=st.integers(0, 60),
     )
     def test_record_density_changes_no_bit(self, m, n, seed, normalize, kind, x0,
-                                           stop_kind, stop_fraction, max_iters):
+                                           record_every, stop_kind, stop_fraction,
+                                           max_iters):
         n = min(n, m - 1)  # generated systems are over-determined
         if isinstance(kind, RQRK) and not 1 <= kind.q * m <= m - 1:
             kind = RQRK(0.5)
@@ -587,13 +589,13 @@ class TestRecordDensity:
         dense = solve(system, config, record_every=1)
         by_iteration = {rec.iteration: rec for rec in dense.records}
         assert list(by_iteration) == list(range(dense.iterations + 1))
-        for trace in [solve(system, config, record=False)] + [
-                solve(system, config, record_every=every) for every in (2, 7)]:
-            assert trace.final_x.tobytes() == dense.final_x.tobytes()
-            assert (trace.iterations, trace.termination) == (
-                dense.iterations, dense.termination)
-            for rec in trace.records:
-                assert record_bits(rec) == record_bits(by_iteration[rec.iteration])
+        trace = solve(system, config, record_every=record_every)
+        assert trace.final_x.tobytes() == dense.final_x.tobytes()
+        assert (trace.iterations, trace.termination) == (dense.iterations, dense.termination)
+        if record_every is None:
+            assert trace.records == ()
+        for rec in trace.records:
+            assert record_bits(rec) == record_bits(by_iteration[rec.iteration])
 
 
 class TestSquaredErrorOnDemand:
@@ -617,10 +619,12 @@ class TestSquaredErrorOnDemand:
         config = SolverConfig(kind, 25, seed=14)
         recorded = solve(system, config)
         calls.clear()
-        trace = solve(system, config, record=False)
+        trace = solve(system, config, record_every=None)
         assert calls == []
+        assert trace.records == ()
         assert trace.final_x.tobytes() == recorded.final_x.tobytes()
         assert trace.iterations == recorded.iterations == 25
+        assert trace.termination == recorded.termination
 
     def test_computed_once_per_record_or_stop_check(self, calls):
         system = consistent_system(30, 4, seed=46)
@@ -629,7 +633,8 @@ class TestSquaredErrorOnDemand:
         assert len(calls) == 4
         calls.clear()
         trace = solve(system, SolverConfig(QRK(0.7), 25, seed=15,
-                                           stop=StopRule(target_sq_error=0.0)), record=False)
+                                           stop=StopRule(target_sq_error=0.0)),
+                      record_every=None)
         assert len(calls) == trace.iterations + 1 == 26
 
 
@@ -639,10 +644,10 @@ def test_solve_makes_no_pass_over_a_but_its_matvecs(kind):
     # A would allocate an m x n boolean mask, an eighth of A
     system = consistent_system(2500, 250, seed=47)
     config = SolverConfig(kind, max_iters=0)
-    solve(system, config, record=False)  # a first call imports numpy submodules
+    solve(system, config, record_every=None)  # a first call imports numpy submodules
     tracemalloc.start()
     try:
-        solve(system, config, record=False)
+        solve(system, config, record_every=None)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -721,7 +726,7 @@ class TestContractionAgainstTheory:
         for trial in range(50):
             config = SolverConfig(selector=RQRK(q), max_iters=k_steps,
                                   seed=600 + trial, x0=OnHyperplane(row=0))
-            trace = solve(system, config, record=False)
+            trace = solve(system, config, record_every=None)
             x0 = (system.b[0] / (system.A[0] @ system.A[0])) * system.A[0]
             start = system.sq_error(x0)
             if system.sq_error(trace.final_x) <= envelope * start:
