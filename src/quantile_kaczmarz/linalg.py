@@ -4,10 +4,10 @@ Matrices are plain 2-D float64 numpy arrays in row-major order; vectors are
 1-D float64 arrays. ``DenseSystem`` checks a solver's inputs when it is
 built (``as_matrix`` and ``as_vector``), so ``row_norms`` and the hot loops
 assume clean inputs. A public function that takes a matrix checks it
-itself, so a matrix passed to several is checked by each: ``diagnose``
-checks every matrix three times (``normalize_rows``,
-``leave_one_out_sigma_min`` and ``extreme_singular_values``). All functions
-are pure.
+itself, so a matrix passed to several is checked by each. ``diagnose``
+checks every matrix once, in ``normalize_rows``, and hands the checked
+matrix to ``spectral.leave_one_out_spectrum``, which takes it as it is. All
+functions are pure.
 """
 
 from __future__ import annotations

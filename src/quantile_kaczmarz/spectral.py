@@ -27,20 +27,29 @@ Leave-one-out takes one eigendecomposition A^T A = Q diag(lam) Q^T and one
 product Z = A Q, then finds every row's downdated smallest eigenvalue as the
 smallest root of the secular equation 1 - sum_j Z_ij^2 / (lam_j - t) = 0,
 for all rows at once: O(m n^2) time and O(m n) memory, against O(m n^3) for
-one eigensolve per row. Rows whose leverage sum_j Z_ij^2 / lam_j is within
-max(1e-8, n eps cond(A^T A)) of 1, whose deletion drops the rank (a column
-that only that row touches, say), and all rows of a rank-deficient A still
-get their own eigensolve, so those cases keep returning exactly what the
-per-row method returns, 0.0 for a lonely column. Elsewhere both methods
-carry the Gram eigenvalue error of about n eps sigma_max^2, so their values
-agree to 1e-9 relative above about 1e-3 sigma_max and to about
-n eps sigma_max^2 / sigma below that.
+one eigensolve per row. A column with at most one nonzero (a lonely column)
+makes the value exactly 0.0 by structure, since deleting its row leaves a
+zero column; one O(m n) count of nonzeros per column finds it before any
+eigensolve. (The eigensolve of such a downdate reads about 1e-16, not 0, so
+its square root would be about 1e-8.) Other rows whose leverage
+sum_j Z_ij^2 / lam_j is within max(1e-8, n eps cond(A^T A)) of 1, whose
+deletion drops the rank, and all rows of a rank-deficient A still get their
+own eigensolve, so those cases keep returning exactly what the per-row method
+returns. Elsewhere both methods carry the Gram eigenvalue error of about
+n eps sigma_max^2, so their values agree to 1e-9 relative above about
+1e-3 sigma_max and to about n eps sigma_max^2 / sigma below that.
+
+``leave_one_out_spectrum`` also returns sigma_max = sqrt(lam[-1]) from the
+same eigendecomposition, the other number the robustness diagnostic needs,
+so diagnose runs no SVD. Where the leave-one-out value is 0 by structure,
+sigma_max comes from the eigenvalues of the smaller of A^T A and A A^T.
 
 The eigensolves use numpy.linalg alone (eigh for the Gram decomposition,
-eigvalsh for each per-row downdate), so no subcommand, diagnose included,
-pays the start-up time and memory of loading scipy.linalg. Plain scipy is
-imported only so that ``spectral.scipy.linalg.eigh`` stays resolvable: the
-benchmark's tracer wraps that name.
+eigvalsh for each per-row downdate and for a structural zero's sigma_max),
+so no subcommand, diagnose included, pays the start-up time and memory of
+loading scipy.linalg. Plain scipy is imported only so that
+``spectral.scipy.linalg.eigh`` stays resolvable: the benchmark's tracer
+wraps that name.
 """
 
 from __future__ import annotations
@@ -116,19 +125,33 @@ def leave_one_out_sigma_min(a: np.ndarray) -> float:
     Sorensen 1978); all m roots are solved together. Rows of leverage
     ``h_i = sum_j Z_ij^2 / lam_j`` close to 1, whose deletion drops the
     rank, and every row of a rank-deficient A are downdated and eigensolved
-    one by one instead.
+    one by one instead. A column with at most one nonzero gives exactly 0.0
+    with no eigensolve of a downdate: deleting its row leaves a zero column.
     """
-    a = as_matrix(a)
+    return leave_one_out_spectrum(as_matrix(a))[0]
+
+
+def leave_one_out_spectrum(a: np.ndarray) -> tuple[float, float]:
+    """(``leave_one_out_sigma_min``, sigma_max) of a matrix that ``as_matrix`` checked.
+
+    sigma_max is read from the same Gram eigendecomposition, so it carries
+    its absolute error of about n eps sigma_max^2 before the square root.
+    When the leave-one-out value is 0 by structure (fewer than n + 1 rows,
+    or a column with at most one nonzero), only the eigenvalues of the
+    smaller of A^T A and A A^T are computed.
+    """
     m, n = a.shape
     if m < 2:
         raise ValueError("need at least two rows")
-    if m - 1 < n:
-        return 0.0
+    if m - 1 < n or np.count_nonzero(a, axis=0).min() <= 1:
+        small = a @ a.T if m < n else a.T @ a
+        return 0.0, _sigma_from_eig(np.linalg.eigvalsh(small)[-1])
     gram = a.T @ a
     lam, q = np.linalg.eigh(gram)
+    sigma_max = _sigma_from_eig(lam[-1])
     eps = np.finfo(np.float64).eps
     if lam[0] <= n * eps * lam[-1]:
-        return _sigma_from_eig(min(_downdated_min_eigs(gram, a, range(m))))
+        return _sigma_from_eig(min(_downdated_min_eigs(gram, a, range(m)))), sigma_max
     w = a @ q
     w *= w  # w_ij = Z_ij^2
     leverage = w @ (1.0 / lam)
@@ -137,7 +160,7 @@ def leave_one_out_sigma_min(a: np.ndarray) -> float:
     best = min(_downdated_min_eigs(gram, a, np.flatnonzero(singular)), default=math.inf)
     if not singular.all():
         best = min(best, float(_smallest_secular_roots(lam, w, ~singular).min()))
-    return _sigma_from_eig(best)
+    return _sigma_from_eig(best), sigma_max
 
 
 def _downdated_min_eigs(gram: np.ndarray, a: np.ndarray, rows) -> list[float]:

@@ -193,38 +193,41 @@ class TestExperiment:
 
     @pytest.mark.parametrize("edit,message", [
         (lambda s: s["problem"].update(normalize="false"),
-         "'normalize' must be true or false, got 'false'"),
+         "'normalize' must be true or false, got 'false' in problem"),
         (lambda s: s.update(fresh_problem_per_trial=1),
-         "'fresh_problem_per_trial' must be true or false, got 1"),
-        (lambda s: s.update(trials=2.7), "'trials' must be an integer, got 2.7"),
-        (lambda s: s.update(seed=True), "'seed' must be an integer, got True"),
-        (lambda s: s["problem"]["source"].update(m=40.5), "'m' must be an integer, got 40.5"),
+         "'fresh_problem_per_trial' must be true or false, got 1 in spec"),
+        (lambda s: s.update(trials=2.7), "'trials' must be an integer, got 2.7 in spec"),
+        (lambda s: s.update(seed=True), "'seed' must be an integer, got True in spec"),
+        (lambda s: s["problem"]["source"].update(m=40.5),
+         "'m' must be an integer, got 40.5 in problem.source"),
         (lambda s: s["runs"].append({"label": "bad", "method": "rk", "iters": -1}),
          "run 'bad': iters must be >= 0, got -1"),
         (lambda s: s["runs"].append({"label": "q", "method": "qrk", "q": "0.8", "iters": 30}),
-         "'q' must be a number, got '0.8'"),
+         "'q' must be a number, got '0.8' in runs[1]"),
         (lambda s: s["problem"].update(corruption={"beta": "0.1"}),
-         "'beta' must be a number, got '0.1'"),
-        (lambda s: s["runs"][0].update(label=5), "'label' must be a string, got 5"),
-        (lambda s: s["runs"][0].update(method=5), "'method' must be a string, got 5"),
+         "'beta' must be a number, got '0.1' in problem.corruption"),
+        (lambda s: s["runs"][0].update(label=5), "'label' must be a string, got 5 in runs[0]"),
+        (lambda s: s["runs"][0].update(method=5), "'method' must be a string, got 5 in runs[0]"),
         (lambda s: s["runs"][0].update(stop={"target_sq_error": "1e-8"}),
-         "'target_sq_error' must be a number, got '1e-8'"),
+         "'target_sq_error' must be a number, got '1e-8' in runs[0].stop"),
         (lambda s: s["runs"].append({"label": "d", "method": "dqrk", "q0": True, "q1": 0.8,
                                      "iters": 30}),
-         "'q0' must be a number, got True"),
-        (lambda s: s["runs"][0].update(x0=None), "'x0' must be a string, got None"),
+         "'q0' must be a number, got True in runs[1]"),
+        (lambda s: s["runs"][0].update(x0=None), "'x0' must be a string, got None in runs[0]"),
         (lambda s: s["problem"].update(source={"kind": "file", "path": 5}),
-         "'path' must be a string, got 5"),
+         "'path' must be a string, got 5 in problem.source"),
         (lambda s: s["problem"]["source"].update(kind="files"), "unknown source kind 'files' in problem.source"),
-        (lambda s: [1, 2], "'spec' must be an object, got [1, 2]"),
-        (lambda s: s.update(problem=[]), "'problem' must be an object, got []"),
+        (lambda s: [1, 2], "'spec' must be an object, got [1, 2] in file"),
+        (lambda s: s.update(problem=[]), "'problem' must be an object, got [] in spec"),
         (lambda s: s["problem"].update(source="gaussian"),
-         "'source' must be an object, got 'gaussian'"),
-        (lambda s: s["problem"].update(corruption=0.1), "'corruption' must be an object, got 0.1"),
-        (lambda s: s["runs"][0].update(stop=1e-8), "'stop' must be an object, got 1e-08"),
+         "'source' must be an object, got 'gaussian' in problem"),
+        (lambda s: s["problem"].update(corruption=0.1),
+         "'corruption' must be an object, got 0.1 in problem"),
+        (lambda s: s["runs"][0].update(stop=1e-8),
+         "'stop' must be an object, got 1e-08 in runs[0]"),
         (lambda s: s.update(runs={"label": "rk", "method": "rk", "iters": 30}),
-         "'runs' must be a list, got {"),
-        (lambda s: s["runs"].append("rk"), "'runs[1]' must be an object, got 'rk'"),
+         "'runs' must be a list, got {'label': 'rk', 'method': 'rk', 'iters': 30} in spec"),
+        (lambda s: s["runs"].append("rk"), "'runs[1]' must be an object, got 'rk' in runs"),
         (lambda s: s["runs"][0].update(x0="hyperplane:1.5"),
          "'x0' must be \"origin\", \"hyperplane\" or \"hyperplane:<row>\" with a row >= 0, "
          "got 'hyperplane:1.5'"),
@@ -269,7 +272,8 @@ class TestExperiment:
          "unknown method 'kaczmarz' in runs[1]"),
         (lambda s: s.update(workers=4), "unknown key 'workers' in spec"),
         (lambda s: s.update(outputs=["summary"]), "unknown key 'outputs' in spec"),
-        (lambda s: s.update(record_every=None), "'record_every' must be an integer, got None"),
+        (lambda s: s.update(record_every=None),
+         "'record_every' must be an integer, got None in spec"),
     ], ids=["normalize-string", "fresh-int", "trials-fraction", "seed-bool", "m-fraction",
             "negative-iters-after-valid-run", "q-string", "beta-string", "label-int",
             "method-int", "stop-string", "q0-bool", "x0-null", "path-int", "unknown-kind",
@@ -328,14 +332,31 @@ class TestDiagnose:
             rows = list(csv.DictReader(fh))
         assert [r["matrix"] for r in rows] == ["missing", "ok"]
 
-    def test_svd_failure_is_a_failed_row(self, tmp_path, capsys, svd_fails):
+    def test_eigensolve_failure_is_a_failed_row(self, tmp_path, capsys, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_convergence)
         path = tmp_path / "stacked.mtx"
         save_matrix_market(path, np.vstack([np.eye(3), np.eye(3)]))
         assert run_cli("diagnose", str(path), "--out", str(tmp_path)) == 2
-        assert "stacked: FAILED LinAlgError: SVD did not converge" in capsys.readouterr().err
+        error = "LinAlgError: Eigenvalues did not converge"
+        assert f"stacked: FAILED {error}" in capsys.readouterr().err
         with open(tmp_path / "diagnostics.csv") as fh:
             rows = list(csv.DictReader(fh))
-        assert rows[0]["error"] == "LinAlgError: SVD did not converge"
+        assert rows[0]["error"] == error
+
+    def test_runs_no_svd(self, tmp_path, capsys, svd_fails):
+        stacked, lonely = tmp_path / "stacked.mtx", tmp_path / "lonely.mtx"
+        save_matrix_market(stacked, np.vstack([np.eye(3), np.eye(3)]))
+        save_matrix_market(lonely, np.vstack([np.eye(3), np.eye(3)[:2]]))
+        assert run_cli("diagnose", str(stacked), str(lonely), "--out", str(tmp_path)) == 0
+        with open(tmp_path / "diagnostics.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["error"] for r in rows] == ["", ""]
+        assert float(rows[0]["sigma_loo_min"]) == pytest.approx(1.0, abs=1e-10)
+        assert rows[1]["sigma_loo_min"] == "0.0"
 
 
 # Runs the CLI in a child whose address space is capped 4 GiB above its size

@@ -14,6 +14,8 @@ from quantile_kaczmarz import (
     subset_sigma_min,
     subset_sigma_min_sampled,
 )
+from quantile_kaczmarz import spectral
+from quantile_kaczmarz.spectral import leave_one_out_spectrum
 
 
 def brute_force_subset_min(a, s):
@@ -40,6 +42,30 @@ def per_row_eigh_leave_one_out(a):
         low = scipy.linalg.eigh(gi, eigvals_only=True, subset_by_index=(0, 0))[0]
         best = min(best, float(low))
     return math.sqrt(max(best, 0.0))
+
+
+def reference_leave_one_out(a):
+    """Reference sigma_loo: the Gram eigendecomposition path with no
+    lonely-column shortcut and no sigma_max, through the module's downdate
+    and secular-root helpers. Where every column has at least two nonzeros,
+    ``leave_one_out_spectrum`` must return its bits."""
+    m, n = a.shape
+    if m - 1 < n:
+        return 0.0
+    gram = a.T @ a
+    lam, q = np.linalg.eigh(gram)
+    eps = np.finfo(np.float64).eps
+    if lam[0] <= n * eps * lam[-1]:
+        return spectral._sigma_from_eig(min(spectral._downdated_min_eigs(gram, a, range(m))))
+    w = a @ q
+    w *= w
+    leverage = w @ (1.0 / lam)
+    singular = leverage >= 1.0 - max(spectral._LEVERAGE_TOL, n * eps * lam[-1] / lam[0])
+    best = min(spectral._downdated_min_eigs(gram, a, np.flatnonzero(singular)),
+               default=math.inf)
+    if not singular.all():
+        best = min(best, float(spectral._smallest_secular_roots(lam, w, ~singular).min()))
+    return spectral._sigma_from_eig(best)
 
 
 def sampled_svd_oracle(a, alpha, trials, seed):
@@ -131,6 +157,18 @@ class TestSubsetSigmaMin:
         assert all(x <= y + 1e-12 for x, y in zip(values, values[1:]))
 
 
+def gaussian_lonely(m, n, rng, density):
+    """Row-normalized m x n Gaussian matrix, each entry kept with probability
+    ``density``, whose column ``col`` has exactly one nonzero; returns (a, col)."""
+    a = rng.normal(size=(m, n)) * (rng.random(size=(m, n)) < density)
+    col, row = int(rng.integers(n)), int(rng.integers(m))
+    a[:, col] = 0.0
+    a[row, col] = rng.normal()
+    empty = ~a.any(axis=1)
+    a[empty, (col + 1) % n] = rng.normal(size=int(empty.sum()))
+    return a / np.linalg.norm(a, axis=1)[:, None], col
+
+
 class TestLeaveOneOut:
     def test_matches_subset_variant(self):
         rng = np.random.default_rng(34)
@@ -216,6 +254,59 @@ class TestLeaveOneOut:
         a = sparse_pm1(608, 188, 4, np.random.default_rng(45))
         a /= np.linalg.norm(a, axis=1)[:, None]
         assert leave_one_out_sigma_min(a) == 0.0
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_gaussian_lonely_column_gives_exact_zero(self, seed):
+        # the per-row eigensolve of the downdated Gram matrix reads about 1e-16
+        # for the zero column's eigenvalue, not 0, on some of these seeds
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(4, 80))
+        a, col = gaussian_lonely(m, int(rng.integers(2, m)), rng, 0.5 if seed % 2 else 1.0)
+        assert np.count_nonzero(a[:, col]) == 1
+        assert leave_one_out_sigma_min(a) == 0.0
+        eps = np.finfo(float).eps
+        assert per_row_eigh_leave_one_out(a) <= math.sqrt(a.shape[1] * eps) * np.linalg.norm(a, 2)
+
+    def test_lonely_column_downdates_nothing(self, monkeypatch):
+        def downdate(*args):
+            raise AssertionError("a lonely column needs no downdate")
+
+        monkeypatch.setattr(spectral, "_downdated_min_eigs", downdate)
+        monkeypatch.setattr(spectral, "_smallest_secular_roots", downdate)
+        a, _ = gaussian_lonely(60, 20, np.random.default_rng(47), 1.0)
+        assert leave_one_out_spectrum(a)[0] == 0.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(1, 60), extra=st.integers(-10, 20),
+           kind=st.sampled_from(["gaussian", "scaled", "duplicated", "sparse", "low-rank",
+                                 "lonely"]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_spectrum_matches_reference_and_svd(self, n, extra, kind, seed):
+        # sigma_loo keeps the reference's bits wherever every column has two
+        # nonzeros; sigma_max agrees with the SVD's to the rounding of the Gram
+        # product and its eigensolve, about (m + n) eps relative at most, also
+        # where fewer than n + 1 rows take it from the smaller Gram matrix
+        rng = np.random.default_rng(seed)
+        m = max(2, n + extra)
+        a = rng.normal(size=(m, n))
+        if kind == "scaled":
+            a *= np.exp(rng.normal(scale=2.0, size=(m, 1)))
+        elif kind == "duplicated":
+            a[rng.integers(m, size=m // 3)] = a[rng.integers(m, size=m // 3)]
+        elif kind == "sparse":
+            a *= rng.random(size=(m, n)) < 0.3
+        elif kind == "low-rank":
+            r = int(rng.integers(1, n + 1))
+            a = rng.normal(size=(m, r)) @ rng.normal(size=(r, n))
+        elif kind == "lonely" and n > 1:
+            a, _ = gaussian_lonely(m, n, rng, 0.5)
+        sigma_loo, sigma_max = leave_one_out_spectrum(a)
+        if np.count_nonzero(a, axis=0).min() >= 2:
+            assert sigma_loo == reference_leave_one_out(a)
+        else:
+            assert sigma_loo == 0.0
+        svd_max = float(np.linalg.svd(a, compute_uv=False)[0])
+        assert abs(sigma_max - svd_max) <= (m + n) * np.finfo(float).eps * svd_max
 
     def test_memory_is_linear_in_the_matrix_size(self):
         m, n = 958, 292
