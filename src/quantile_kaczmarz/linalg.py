@@ -2,8 +2,9 @@
 
 Matrices are plain 2-D float64 numpy arrays in row-major order; vectors are
 1-D float64 arrays. ``DenseSystem`` checks a solver's inputs when it is
-built (``as_matrix`` and ``as_vector``), so ``row_norms`` and the hot loops
-assume clean inputs. A public function that takes a matrix checks it
+built (``as_matrix`` and ``as_vector``), so ``row_norms`` and the system's
+products (``DenseSystem.residual`` and ``DenseSystem.project``, the
+projection step of every solver) assume clean inputs. A public function that takes a matrix checks it
 itself, so a matrix passed to several is checked by each. ``diagnose``
 checks every matrix once, in ``normalize_rows``, and hands the checked
 matrix to ``spectral.leave_one_out_spectrum``, which takes it as it is. All

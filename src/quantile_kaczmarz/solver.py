@@ -1,6 +1,6 @@
 """Row-projection solvers with pluggable quantile-based row selection.
 
-One shared projection step drives five selection rules:
+One projection step, ``DenseSystem.project``, drives five selection rules:
 
 * ``RK``        - row i with probability ||a_i||^2 / ||A||_F^2.
 * ``QRK(q)``    - restricted to rows whose normalized residual is at most
@@ -202,19 +202,28 @@ class GroundTruth:
 class DenseSystem:
     """A linear system A x = b, optionally with its planted ground truth,
     checked once when built: A finite, 2-D and free of zero rows (else
-    ZeroRowError), b finite of length m. ``row_norms`` caches A's row norms
-    for ``solve``, so do not mutate A after building a system."""
+    ZeroRowError), b finite of length m. ``row_norms`` caches A's row norms,
+    ``inv_norms`` their reciprocals and ``sq_norms`` their squares, so do
+    not mutate A after building a system.
+
+    The system computes every product ``solve`` takes of it: ``residual``,
+    ``project`` and ``sq_error``."""
 
     A: np.ndarray
     b: np.ndarray
     ground_truth: GroundTruth | None = None
     row_norms: np.ndarray = field(init=False, repr=False, compare=False)
+    inv_norms: np.ndarray = field(init=False, repr=False, compare=False)
+    sq_norms: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a = as_matrix(self.A)
         object.__setattr__(self, "A", a)
         object.__setattr__(self, "b", as_vector(self.b, a.shape[0]))
-        object.__setattr__(self, "row_norms", row_norms(a))
+        norms = row_norms(a)
+        object.__setattr__(self, "row_norms", norms)
+        object.__setattr__(self, "inv_norms", 1.0 / norms)
+        object.__setattr__(self, "sq_norms", norms * norms)
         gt = self.ground_truth
         if gt is not None:
             m, support = a.shape[0], gt.corrupt_support
@@ -234,6 +243,23 @@ class DenseSystem:
     @property
     def shape(self) -> tuple[int, int]:
         return self.A.shape
+
+    def residual(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The residual r = A x - b and the normalized residual |r_j| / ||a_j||."""
+        r = self.A @ x - self.b
+        return r, np.abs(r) * self.inv_norms
+
+    def project(self, x: np.ndarray, i: int, r_i: float | None = None) -> np.ndarray:
+        """Project x onto row i's hyperplane: x + ((b_i - <a_i, x>)/||a_i||^2) a_i.
+
+        Given ``r_i``, entry i of ``residual(x)[0]``, the step takes -r_i for
+        b_i - <a_i, x>; without it, the row's own dot product. Negation is
+        exact, so either way the step has the bits of the expression written
+        with that value, signed zeros included.
+        """
+        a_i = self.A[i]
+        gap = self.b[i] - a_i @ x if r_i is None else -r_i
+        return x + (gap / self.sq_norms[i]) * a_i
 
     def sq_error(self, x: np.ndarray) -> float:
         """Squared distance to the planted solution."""
@@ -330,21 +356,22 @@ def solve(
     ``target_sq_error`` first. Deterministic given (system, config): every
     random selector consumes exactly one uniform per iteration and the step
     rule depends on the selector alone, so recording changes no bit of the
-    trajectory. RK steps by its row's own ``b_i - <a_i, x>``; every other
-    selector steps by the entry ``r_i`` of the residual it selected with.
+    trajectory. Every step is ``system.project(x, i, r_i)``: RK passes no
+    ``r_i``, so it steps by its row's own ``b_i - <a_i, x>``, and every other
+    selector passes the entry ``r_i`` of the residual it selected with.
 
-    The residual ``A x - b`` is computed at most once per iterate: right
-    after the step when a record or a ``residual_norm`` stop needs it, else
-    at the top of the next quantile or Motzkin iteration. A recorded
-    iteration therefore costs one matvec, the same as an unrecorded quantile
-    iteration. The squared error is computed only on an iterate that a
+    The residual ``system.residual(x)`` is computed at most once per
+    iterate: right after the step when a record or a ``residual_norm`` stop
+    needs it, else at the top of the next quantile or Motzkin iteration. A
+    recorded iteration therefore costs one matvec, the same as an unrecorded
+    quantile iteration. The squared error is computed only on an iterate that a
     ``target_sq_error`` stop or a record reads.
 
     Preconditions raise before the first record: an rqrk quantile or a dqrk
     band that does not fit m (``kind.ranks(m)``, once per solve), a
     ``target_sq_error`` stop without ground truth and an x0 row outside the
     matrix. Zero rows raise when the ``DenseSystem`` is built, and its cached
-    ``row_norms`` are read here, not recomputed. Then no row selection can
+    norms are read here, not recomputed. Then no row selection can
     fail, and ``termination`` is "max_iters", "target_sq_error" or "residual_norm".
     """
     a, b = system.A, system.b
@@ -352,15 +379,13 @@ def solve(
     if record_every is not None and record_every < 1:
         raise ValueError("record_every must be >= 1")
 
-    norms = system.row_norms
-    inv_norms = 1.0 / norms
-    sq_norms = norms * norms
+    sq_norms = system.sq_norms
     cum_sq_norms = np.cumsum(sq_norms)
 
     kind = config.selector
     ranks = kind.ranks(m) if isinstance(kind, (QRK, RQRK, DQRK)) else None
-    # RK never needs the residual to pick a row, so it steps by the row's own
-    # dot product whether or not a record computed the residual
+    # RK never needs the residual to pick a row, so it projects with the row's
+    # own dot product whether or not a record computed the residual
     rk = isinstance(kind, RK)
 
     gt = system.ground_truth
@@ -375,13 +400,11 @@ def solve(
         row0 = config.x0.row if config.x0.row is not None else int(rng.integers(m))
         if not 0 <= row0 < m:
             raise DimensionMismatchError(f"x0 row {row0} outside [0, {m})")
+        # not project(0, row0): 0 + (-0.0) would turn the -0.0 entries that
+        # zeros of row0 give when b_row0 < 0 into +0.0
         x = (b[row0] / sq_norms[row0]) * a[row0]
     else:
         x = np.zeros(n)
-
-    def residual(xv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        rv = a @ xv - b
-        return rv, np.abs(rv) * inv_norms
 
     def norm(v: np.ndarray) -> float:
         # np.linalg.norm of a 1-D float vector is sqrt(v.dot(v)), bit for bit
@@ -399,14 +422,14 @@ def solve(
         if target is not None and sq_err <= target:
             termination = "target_sq_error"
         elif res_stop is not None:
-            r, nres = residual(x)
+            r, nres = system.residual(x)
             if norm(nres) <= res_stop:
                 termination = "residual_norm"
         if termination is None and k == config.max_iters:
             termination = "max_iters"
         if record_every is not None and (termination or k % record_every == 0):
             if r is None:
-                r, nres = residual(x)
+                r, nres = system.residual(x)
             if sq_err is None and gt is not None:
                 sq_err = system.sq_error(x)
             records.append(TraceRecord(k, i, low, high, sq_err, norm(nres)))
@@ -415,12 +438,9 @@ def solve(
 
         k += 1
         if r is None and not rk:
-            r, nres = residual(x)
+            r, nres = system.residual(x)
         i, low, high = select_row(kind, ranks, nres, sq_norms, cum_sq_norms, rng)
-        if rk:
-            x = x + ((b[i] - a[i] @ x) / sq_norms[i]) * a[i]
-        else:
-            x = x - (r[i] / sq_norms[i]) * a[i]
+        x = system.project(x, i, None if rk else r[i])
 
     return SolveTrace(
         records=tuple(records),

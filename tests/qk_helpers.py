@@ -1,10 +1,9 @@
 """Helpers that several test modules import: golden-matrix lookup and
-reference steps and residuals taken through ``solve``."""
+a reference step taken through ``solve``."""
 
 import os
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from quantile_kaczmarz import RK, DenseSystem, SolverConfig, solve
@@ -32,15 +31,3 @@ def step_from(a, b, x, kind=RK(), seed=0):
     """
     trace = solve(DenseSystem(a, b - a @ x), SolverConfig(kind, max_iters=1, seed=seed))
     return trace.final_x + x, trace.records[-1].row
-
-
-def normalized_residuals(a, b, x):
-    """Distances |<x, a_j> - b_j| / ||a_j|| from x to every row's hyperplane.
-
-    Each is the initial residual norm that ``solve`` records for the one-row
-    system shifted so that x is the origin.
-    """
-    return np.array([
-        solve(DenseSystem(a[j:j + 1], b[j:j + 1] - a[j:j + 1] @ x),
-              SolverConfig(RK(), max_iters=0)).records[0].residual_norm
-        for j in range(a.shape[0])])

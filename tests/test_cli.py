@@ -610,17 +610,23 @@ def test_no_subcommand_loads_scipy_linalg(tmp_path):
         "runs": [{"label": "dqrk", "method": "dqrk", "q0": 0.5, "q1": 0.9, "iters": 50}],
     }))
     # the stacked identity takes the secular path; column 0 of "lonely" is
-    # touched by row 0 alone, whose deletion is eigensolved on its own
+    # touched by row 0 alone, a structural zero with no eigensolve; "rankdef"
+    # has rank 2 and three nonzeros in every column, so each of its rows'
+    # deletions is eigensolved on its own
     stacked, lonely = tmp_path / "stacked.mtx", tmp_path / "lonely.mtx"
+    rankdef = tmp_path / "rankdef.mtx"
     save_matrix_market(stacked, np.vstack([np.eye(3), np.eye(3)]))
     save_matrix_market(lonely, np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0],
                                          [0.0, 1.0, -1.0], [0.0, 1.0, 0.0]]))
+    save_matrix_market(rankdef, np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0],
+                                          [1.0, 2.0, 1.0], [1.0, 0.0, -1.0]]))
     commands = [
         ["threshold", ["threshold", str(spec), "--threshold", "1e-6"]],
         ["experiment", ["experiment", str(spec)]],
         ["solve", ["solve", "--m", "30", "--n", "4", "--method", "rk", "--iters", "20"]],
         ["bench", ["bench", "--m", "30", "--n", "4", "--iters", "20", "--repeats", "1"]],
-        ["diagnose", ["diagnose", str(stacked), str(lonely), "--format", "json"]],
+        ["diagnose", ["diagnose", str(stacked), str(lonely), str(rankdef),
+                      "--format", "json"]],
     ]
     proc = subprocess.run(
         [sys.executable, "-c", _IMPORT_PROBE, str(tmp_path), json.dumps(commands)],
@@ -631,5 +637,6 @@ def test_no_subcommand_loads_scipy_linalg(tmp_path):
         "solve": [0, False, False], "bench": [0, False, False],
         "diagnose": [0, False, False]}
     table = json.loads((tmp_path / "diagnose" / "diagnostics.json").read_text())
-    assert {row["matrix"]: row["sigma_loo_min"] for row in table} == {
-        "stacked": pytest.approx(1.0, rel=1e-12), "lonely": 0.0}
+    sigma_loo = {row["matrix"]: row["sigma_loo_min"] for row in table}
+    assert sigma_loo == {"stacked": pytest.approx(1.0, rel=1e-12), "lonely": 0.0,
+                         "rankdef": pytest.approx(0.0, abs=1e-7)}

@@ -14,12 +14,10 @@ from quantile_kaczmarz import (
 )
 from quantile_kaczmarz.linalg import as_matrix, row_norms
 
-from qk_helpers import normalized_residuals, step_from
-
 
 def project(x, a, b_i):
-    """Project x onto the hyperplane <a, y> = b_i with one solve step."""
-    return step_from(a[None, :], np.array([float(b_i)]), x)[0]
+    """Project x onto the hyperplane <a, y> = b_i, the step every solve takes."""
+    return DenseSystem(a[None, :], [b_i]).project(x, 0)
 
 
 class TestAsMatrix:
@@ -88,17 +86,17 @@ class TestNormalizeRows:
 
 
 class TestNormalizedResiduals:
-    # the residuals solve selects on, read per row (qk_helpers.normalized_residuals)
+    # the normalized residuals solve selects on (DenseSystem.residual)
 
     def test_exact_solution_gives_zeros(self):
         rng = np.random.default_rng(2)
         a = rng.normal(size=(6, 3))
         x = rng.normal(size=3)
-        res = normalized_residuals(a, a @ x, x)
+        res = DenseSystem(a, a @ x).residual(x)[1]
         assert np.all(res < 1e-12)
 
     def test_identity_case(self):
-        res = normalized_residuals(np.eye(2), np.array([1.0, 2.0]), np.zeros(2))
+        res = DenseSystem(np.eye(2), np.array([1.0, 2.0])).residual(np.zeros(2))[1]
         assert res.tolist() == [1.0, 2.0]
 
     def test_matches_per_row_recomputation(self):
@@ -106,7 +104,7 @@ class TestNormalizedResiduals:
         a = rng.normal(size=(5, 3))
         b = rng.normal(size=5)
         x = rng.normal(size=3)
-        res = normalized_residuals(a, b, x)
+        res = DenseSystem(a, b).residual(x)[1]
         for j in range(5):
             expected = abs(np.dot(x, a[j]) - b[j]) / np.linalg.norm(a[j])
             assert res[j] == pytest.approx(expected, abs=1e-12)

@@ -28,15 +28,13 @@ from quantile_kaczmarz import (
 from quantile_kaczmarz import matrixmarket
 from quantile_kaczmarz.linalg import normalize_rows
 
-from qk_helpers import normalized_residuals
-
 
 class TestGenerateSystem:
     def test_consistent_by_construction(self):
         system = generate_system(ProblemSpec(
             source=GeneratedSource("gaussian", 100, 10, seed=1), solution_seed=2))
         gt = system.ground_truth
-        res = normalized_residuals(system.A, system.b, gt.x_star)
+        res = system.residual(gt.x_star)[1]
         assert np.all(res < 1e-10)
         assert np.allclose(system.A @ gt.x_star, gt.b_true, atol=1e-10)
 

@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quantile_kaczmarz import (
@@ -361,6 +361,8 @@ class TestSystemChecks:
     def test_row_norms_cached(self):
         system = DenseSystem(np.array([[3.0, 4.0], [0.0, 2.0]]), np.zeros(2))
         assert system.row_norms.tolist() == [5.0, 2.0]
+        assert system.inv_norms.tolist() == [0.2, 0.5]
+        assert system.sq_norms.tolist() == [25.0, 4.0]
 
     @pytest.mark.parametrize("support, error, message", [
         ([-1], DimensionMismatchError, "corrupt_support index -1 outside [0, 3)"),
@@ -373,6 +375,48 @@ class TestSystemChecks:
         b_true = a @ x_star
         with pytest.raises(error, match=re.escape(message)):
             DenseSystem(a, b_true, GroundTruth(x_star, b_true, support))
+
+
+def signed_zero_system(seed, m, n):
+    """A, b and x with exact +-0.0 entries, row norms from 1e-3 to 1e3 and
+    some rows whose residual at x is exactly 0.0."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(m, n))
+    a[rng.random((m, n)) < 0.3] = 0.0
+    a[rng.random((m, n)) < 0.15] = -0.0
+    a[np.arange(m), rng.integers(n, size=m)] = rng.normal(size=m)  # no zero rows
+    a *= (10.0 ** rng.uniform(-3, 3, size=m) / np.linalg.norm(a, axis=1))[:, None]
+    x = rng.normal(size=n)
+    x[rng.random(n) < 0.3] = 0.0
+    x[rng.random(n) < 0.3] = -0.0
+    b = rng.normal(size=m) * 10.0 ** rng.uniform(-3, 3, size=m)
+    b[rng.random(m) < 0.2] = rng.choice([0.0, -0.0])
+    exact = rng.random(m) < 0.3
+    b[exact] = [a[j] @ x for j in np.flatnonzero(exact)]
+    return a, b, x
+
+
+class TestSystemProducts:
+    """``residual`` and ``project`` against the expressions ``solve`` inlined
+    before the system owned them, bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(1, 8))
+    # row 1 has an exact zero residual at an x with -0.0 entries: there RK's
+    # step gives +0.0, and x - ((<a_i, x> - b_i)/||a_i||^2) a_i keeps -0.0
+    @example(0, 3, 4)
+    def test_bits_match_inline_expressions(self, seed, m, n):
+        a, b, x = signed_zero_system(seed, m, n)
+        system = DenseSystem(a, b)
+        sq = row_norms(a) * row_norms(a)
+        r, nres = system.residual(x)
+        assert r.tobytes() == (a @ x - b).tobytes()
+        assert nres.tobytes() == (np.abs(a @ x - b) * (1.0 / row_norms(a))).tobytes()
+        for i in range(m):
+            rk_step = x + ((b[i] - a[i] @ x) / sq[i]) * a[i]
+            assert system.project(x, i).tobytes() == rk_step.tobytes()
+            residual_step = x - (r[i] / sq[i]) * a[i]
+            assert system.project(x, i, r[i]).tobytes() == residual_step.tobytes()
 
 
 class TestSolve:
