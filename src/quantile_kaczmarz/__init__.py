@@ -2,26 +2,16 @@
 
 The package bundles the iterate engine (five row-selection strategies over
 one shared projection step), problem generators with sparse right-hand-side
-corruption, subset-minimum singular value diagnostics, the matching
-per-step contraction bounds, and a reproducible experiment harness with a
-CLI front end (``qkaczmarz``).
+corruption, the leave-one-out singular value diagnostic, and a reproducible
+experiment harness with a CLI front end (``qkaczmarz``). The paper's
+per-step contraction bounds and exact subset minima, which no run computes,
+are the test helper ``tests/paper_bounds.py``.
 """
 
 import types as _types
 
 from ._version import __version__
-from .bounds import (
-    BoundReport,
-    corruption_penalty,
-    dqrk_bound,
-    kth_largest_residual_factor,
-    qrk_bound,
-    rk_factor,
-    robustness_diagnostic,
-    rqrk_bound,
-)
 from .errors import (
-    BudgetExceededError,
     DimensionMismatchError,
     HypothesisViolationError,
     InvalidQuantilesError,
@@ -36,10 +26,12 @@ from .harness import (
     ExperimentSpec,
     RunSpec,
     ThresholdResult,
+    corruption_penalty,
     cost_parity_benchmark,
     derive_seed,
     diagnostic_report,
     emit_artifacts,
+    robustness_diagnostic,
     run_experiment,
     spec_from_dict,
     spec_to_dict,
@@ -73,11 +65,7 @@ from .solver import (
     parse_selector,
     solve,
 )
-from .spectral import (
-    leave_one_out_sigma_min,
-    subset_sigma_min,
-    subset_sigma_min_sampled,
-)
+from .spectral import leave_one_out_sigma_min
 
 # the re-exported names only: importing them also binds each submodule here
 __all__ = [name for name, value in globals().items()

@@ -24,18 +24,6 @@ class InvalidQuantilesError(QuantileKaczmarzError):
     """Quantile parameters violate their ordering or range constraints."""
 
 
-class BudgetExceededError(QuantileKaczmarzError):
-    """Exhaustive subset enumeration would exceed the configured budget."""
-
-    def __init__(self, subset_count: int, budget: int):
-        self.subset_count = int(subset_count)
-        self.budget = int(budget)
-        super().__init__(
-            f"{subset_count} subsets exceed the enumeration budget of {budget}; "
-            "use the sampled variant"
-        )
-
-
 class HypothesisViolationError(QuantileKaczmarzError):
     """Inputs violate a hypothesis of the bound being evaluated."""
 

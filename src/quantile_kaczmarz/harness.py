@@ -20,6 +20,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import math
 import platform
 import statistics
 import time
@@ -32,8 +33,7 @@ import scipy
 
 from ._util import atomic_writer
 from ._version import __version__
-from .bounds import robustness_diagnostic
-from .errors import HANDLED_ERRORS, QuantileKaczmarzError
+from .errors import HANDLED_ERRORS, HypothesisViolationError, QuantileKaczmarzError
 from .linalg import normalize_rows
 from .linalg import extreme_singular_values  # unused here; the benchmark tracer wraps this name
 from .matrixmarket import load_matrix_market
@@ -323,6 +323,50 @@ class DiagnosticRow:
     @property
     def E(self) -> float | None:  # the diagnostic's name in the paper and the CSV header
         return self.diagnostic
+
+
+def corruption_penalty(q_upper: float, beta: float) -> float:
+    """The term 2 sqrt(beta)/sqrt(1-q-beta) + beta/(1-q-beta).
+
+    Grows without bound as q + beta approaches 1; requires q + beta < 1.
+    """
+    slack = 1.0 - q_upper - beta
+    if slack <= 0:
+        raise HypothesisViolationError(f"need q + beta < 1, got q={q_upper}, beta={beta}")
+    return 2.0 * math.sqrt(beta) / math.sqrt(slack) + beta / slack
+
+
+def robustness_diagnostic(
+    sigma_max: float,
+    sigma_loo_min: float,
+    q0: float,
+    q1: float,
+    beta: float,
+    m: int,
+) -> float:
+    """Cheap certificate that the two-quantile sufficient condition fails.
+
+    Evaluates
+
+        (sigma_loo^2 + sigma_loo^2/(q0 m)) / sigma_max^2
+            - (q1/(1-q0-beta)) P(q1, beta)
+
+    with sigma_loo the leave-one-out subset minimum. Because subset minima
+    are non-decreasing in the subset fraction, sigma_loo upper-bounds the
+    sigma_{q-beta} values in the real condition, and the coefficient
+    q1/(1-q0-beta) never exceeds the condition's q1/(q1-q0-beta); so a
+    negative value certifies the sufficient condition fails. A positive
+    value is only suggestive.
+    """
+    if not q1 + beta < 1.0:
+        raise HypothesisViolationError(f"need q1 + beta < 1, got q1={q1}, beta={beta}")
+    if not q1 - q0 > beta:
+        raise HypothesisViolationError(f"need q1 - q0 > beta, got q1-q0={q1 - q0}, beta={beta}")
+    if not 0.0 < q0:
+        raise HypothesisViolationError(f"need q0 > 0, got q0={q0}")
+    penalty = corruption_penalty(q1, beta)
+    redundancy = (sigma_loo_min**2 + sigma_loo_min**2 / (q0 * m)) / sigma_max**2
+    return redundancy - (q1 / (1.0 - q0 - beta)) * penalty
 
 
 def diagnostic_report(paths, q0: float, q1: float, beta: float) -> list[DiagnosticRow]:

@@ -101,9 +101,16 @@ def generate_system(spec: ProblemSpec) -> DenseSystem:
     normalization scales in place (the division ``normalize_rows`` makes,
     bit for bit, without its copy). So building a normalized system peaks
     near one matrix, not two.
+
+    A generated source's seed must differ from ``solution_seed``: both feed
+    PCG64 normal draws, so equal seeds would make x* the first raw row of A,
+    which one projection from the origin reaches. Raises ValueError then.
     """
     if isinstance(spec.source, GeneratedSource):
         src = spec.source
+        if src.seed == spec.solution_seed:
+            raise ValueError(f"the generated source's seed ({src.seed}) equals solution_seed "
+                             f"({spec.solution_seed}); x* would be row 0 of A")
         rng = np.random.Generator(np.random.PCG64(src.seed))
         if src.dist == "gaussian":
             a = rng.normal(size=(src.m, src.n))

@@ -1,20 +1,11 @@
-"""Minimum singular values over row subsets.
+"""The leave-one-out minimum singular value.
 
 For a subset S of rows, sigma_min(A_S) here means inf over unit x in R^n of
 ||A_S x||, so any subset with fewer rows than columns scores 0. The
-subset-minimum over all subsets of a given size quantifies how much
-redundancy survives adversarial row removal; it is exact only by
-enumeration, so three modes are offered:
-
-* exact enumeration, capped by a subset budget;
-* the leave-one-out special case (subset size m-1, exactly m subproblems);
-* random subset sampling, which upper-bounds the true minimum because it
-  minimizes over fewer candidates.
-
-Exact and sampled modes share one loop: a chunk of c subsets gathers at
-most 4 MiB of rows and forms its c Gram matrices in one stacked product, so
-memory stays at about 4 MiB plus c n^2 doubles, whatever m is. Sampling
-draws one rng.choice(m, size=s, replace=False) per trial from PCG64(seed).
+leave-one-out minimum, min over i of sigma_min(A with row i deleted), is
+the subset minimum at subset size m-1: exactly m subproblems. It bounds how
+much redundancy survives the removal of one row, and it is the one subset
+minimum ``diagnose`` needs.
 
 Submatrix values are computed from Gram matrices (A_S^T A_S) with symmetric
 eigensolves, so a value sigma carries an absolute error of about
@@ -55,17 +46,12 @@ wraps that name.
 from __future__ import annotations
 
 import math
-from itertools import combinations, islice
 
 import numpy as np
 import scipy  # unused here; keeps spectral.scipy.linalg.eigh resolvable for the benchmark tracer
 
-from .errors import BudgetExceededError
 from .linalg import as_matrix
-from .quantiles import round_half_up
 
-DEFAULT_SUBSET_BUDGET = 1_000_000
-_CHUNK_BYTES = 4 << 20  # gathered rows per chunk of subsets
 _LEVERAGE_TOL = 1e-8
 _MAX_SECULAR_STEPS = 100
 
@@ -74,53 +60,13 @@ def _sigma_from_eig(value: float) -> float:
     return math.sqrt(max(value, 0.0))
 
 
-def _subset_size(m: int, alpha: float) -> int:
-    return min(max(round_half_up(alpha * m), 0), m)
-
-
-def _subset_sigma_min(a: np.ndarray, s: int, subsets) -> float:
-    """Minimum of sigma_min(A_S) over an iterator of size-``s`` row-index subsets.
-
-    A chunk holds as many subsets as fit their (c, s, n) rows in
-    ``_CHUNK_BYTES``, at least one; its (c, n, n) Gram stack is no larger.
-    """
-    n = a.shape[1]
-    per_chunk = max(1, _CHUNK_BYTES // (8 * s * n))
-    best = math.inf
-    while chunk := list(islice(subsets, per_chunk)):
-        rows = a[np.asarray(chunk, dtype=np.intp)]
-        grams = np.matmul(rows.transpose(0, 2, 1), rows)
-        best = min(best, float(np.linalg.eigvalsh(grams)[:, 0].min()))
-    return _sigma_from_eig(best)
-
-
-def subset_sigma_min(a: np.ndarray, alpha: float,
-                     subset_budget: int = DEFAULT_SUBSET_BUDGET) -> float:
-    """Exact minimum of sigma_min(A_S) over all row subsets of size round(alpha*m).
-
-    Returns 0 immediately when the subset size is below n. Raises
-    BudgetExceededError when the number of subsets exceeds ``subset_budget``;
-    use ``subset_sigma_min_sampled`` in that case. Memory stays at about
-    4 MiB plus c n^2 doubles per chunk of c subsets, whatever m is.
-    """
-    a = as_matrix(a)
-    m, n = a.shape
-    s = _subset_size(m, alpha)
-    if s < n:
-        return 0.0
-    total = math.comb(m, s)
-    if total > subset_budget:
-        raise BudgetExceededError(total, subset_budget)
-    return _subset_sigma_min(a, s, combinations(range(m), s))
-
-
 def leave_one_out_sigma_min(a: np.ndarray) -> float:
     """Minimum over i of sigma_min(A with row i deleted).
 
-    The alpha = 1 - 1/m case of ``subset_sigma_min`` with exactly m
-    subproblems. One eigendecomposition A^T A = Q diag(lam) Q^T and
-    Z = A Q turn each row deletion into a rank-one downdate, whose smallest
-    eigenvalue is the smallest root of the secular equation
+    The subset minimum at subset size m - 1, with exactly m subproblems.
+    One eigendecomposition A^T A = Q diag(lam) Q^T and Z = A Q turn each
+    row deletion into a rank-one downdate, whose smallest eigenvalue is the
+    smallest root of the secular equation
     ``1 - sum_j Z_ij^2 / (lam_j - t) = 0`` (Golub 1973; Bunch, Nielsen and
     Sorensen 1978); all m roots are solved together. Rows of leverage
     ``h_i = sum_j Z_ij^2 / lam_j`` close to 1, whose deletion drops the
@@ -208,22 +154,3 @@ def _smallest_secular_roots(lam: np.ndarray, w: np.ndarray, solve: np.ndarray) -
             live, w_live = live[keep], w_live[keep]
         d_live = new[keep]
     return lam[0] - delta
-
-
-def subset_sigma_min_sampled(a: np.ndarray, alpha: float, trials: int, seed: int = 0) -> float:
-    """Minimum of sigma_min(A_S) over ``trials`` uniformly sampled subsets.
-
-    An upper bound on the exact subset minimum (fewer candidates). Trial t
-    evaluates the t-th ``rng.choice(m, size=s, replace=False)`` of
-    PCG64(seed). Memory is bounded as in ``subset_sigma_min``.
-    """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    a = as_matrix(a)
-    m, n = a.shape
-    s = _subset_size(m, alpha)
-    if s < n:
-        return 0.0
-    rng = np.random.Generator(np.random.PCG64(seed))
-    return _subset_sigma_min(a, s, (rng.choice(m, size=s, replace=False) for _ in range(trials)))
-

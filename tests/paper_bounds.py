@@ -1,4 +1,4 @@
-"""Per-step contraction factors and convergence envelopes.
+"""The paper's per-step contraction bounds and exact subset minima.
 
 Every calculator takes precomputed spectral quantities rather than a matrix,
 so expensive subset-minimum singular values can be shared across methods.
@@ -10,16 +10,57 @@ require.
 The reported ``sufficient_condition_holds`` flag is algebraically equivalent
 to a positive per-step decay (factor < 1) for the one- and two-quantile
 corrupted-system bounds.
+
+For a subset S of rows, sigma_min(A_S) here means inf over unit x in R^n of
+||A_S x||, so any subset with fewer rows than columns scores 0. The
+subset minimum over all subsets of a given size is exact only by
+enumeration (``subset_sigma_min``, capped by a subset budget); random subset
+sampling (``subset_sigma_min_sampled``) upper-bounds it because it minimizes
+over fewer candidates. Both share one loop: a chunk of c subsets gathers at
+most 4 MiB of rows and forms its c Gram matrices in one stacked product, so
+memory stays at about 4 MiB plus c n^2 doubles, whatever m is. Sampling
+draws one rng.choice(m, size=s, replace=False) per trial from PCG64(seed).
+Values come from Gram eigensolves and carry the error described in
+``quantile_kaczmarz.spectral``.
+
+Nothing in a run computes these: they are the theory the tests check runs
+against. It is a test helper, not part of the package; the package keeps
+``corruption_penalty`` and ``robustness_diagnostic``, which ``diagnose``
+evaluates, and the leave-one-out minimum ``leave_one_out_sigma_min``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations, islice
 
 import numpy as np
 
-from .errors import HypothesisViolationError, InvalidQuantilesError
+from quantile_kaczmarz import corruption_penalty
+from quantile_kaczmarz.errors import (
+    HypothesisViolationError,
+    InvalidQuantilesError,
+    QuantileKaczmarzError,
+)
+from quantile_kaczmarz.linalg import as_matrix
+from quantile_kaczmarz.quantiles import round_half_up
+from quantile_kaczmarz.spectral import _sigma_from_eig
+
+DEFAULT_SUBSET_BUDGET = 1_000_000
+_CHUNK_BYTES = 4 << 20  # gathered rows per chunk of subsets
+
+
+class BudgetExceededError(QuantileKaczmarzError):
+    """Exhaustive subset enumeration would exceed the configured budget."""
+
+    def __init__(self, subset_count: int, budget: int):
+        self.subset_count = int(subset_count)
+        self.budget = int(budget)
+        super().__init__(
+            f"{subset_count} subsets exceed the enumeration budget of {budget}; "
+            "use the sampled variant"
+        )
 
 
 @dataclass(frozen=True)
@@ -50,17 +91,6 @@ class BoundReport:
 def rk_factor(sigma_min: float, frob_sq: float) -> float:
     """Classical per-step factor 1 - sigma_min^2 / ||A||_F^2."""
     return 1.0 - sigma_min**2 / frob_sq
-
-
-def corruption_penalty(q_upper: float, beta: float) -> float:
-    """The term 2 sqrt(beta)/sqrt(1-q-beta) + beta/(1-q-beta).
-
-    Grows without bound as q + beta approaches 1; requires q + beta < 1.
-    """
-    slack = 1.0 - q_upper - beta
-    if slack <= 0:
-        raise HypothesisViolationError(f"need q + beta < 1, got q={q_upper}, beta={beta}")
-    return 2.0 * math.sqrt(beta) / math.sqrt(slack) + beta / slack
 
 
 def rqrk_bound(
@@ -184,34 +214,59 @@ def kth_largest_residual_factor(sigma_k_over_m: float, sigma_km1_over_m: float, 
     return 1.0 - sigma_k_over_m**2 / k - sigma_km1_over_m**2 / (k * k - k)
 
 
-def robustness_diagnostic(
-    sigma_max: float,
-    sigma_loo_min: float,
-    q0: float,
-    q1: float,
-    beta: float,
-    m: int,
-) -> float:
-    """Cheap certificate that the two-quantile sufficient condition fails.
+def _subset_size(m: int, alpha: float) -> int:
+    return min(max(round_half_up(alpha * m), 0), m)
 
-    Evaluates
 
-        (sigma_loo^2 + sigma_loo^2/(q0 m)) / sigma_max^2
-            - (q1/(1-q0-beta)) P(q1, beta)
+def _subset_sigma_min(a: np.ndarray, s: int, subsets) -> float:
+    """Minimum of sigma_min(A_S) over an iterator of size-``s`` row-index subsets.
 
-    with sigma_loo the leave-one-out subset minimum. Because subset minima
-    are non-decreasing in the subset fraction, sigma_loo upper-bounds the
-    sigma_{q-beta} values in the real condition, and the coefficient
-    q1/(1-q0-beta) never exceeds the condition's q1/(q1-q0-beta); so a
-    negative value certifies the sufficient condition fails. A positive
-    value is only suggestive.
+    A chunk holds as many subsets as fit their (c, s, n) rows in
+    ``_CHUNK_BYTES``, at least one; its (c, n, n) Gram stack is no larger.
     """
-    if not q1 + beta < 1.0:
-        raise HypothesisViolationError(f"need q1 + beta < 1, got q1={q1}, beta={beta}")
-    if not q1 - q0 > beta:
-        raise HypothesisViolationError(f"need q1 - q0 > beta, got q1-q0={q1 - q0}, beta={beta}")
-    if not 0.0 < q0:
-        raise HypothesisViolationError(f"need q0 > 0, got q0={q0}")
-    penalty = corruption_penalty(q1, beta)
-    redundancy = (sigma_loo_min**2 + sigma_loo_min**2 / (q0 * m)) / sigma_max**2
-    return redundancy - (q1 / (1.0 - q0 - beta)) * penalty
+    n = a.shape[1]
+    per_chunk = max(1, _CHUNK_BYTES // (8 * s * n))
+    best = math.inf
+    while chunk := list(islice(subsets, per_chunk)):
+        rows = a[np.asarray(chunk, dtype=np.intp)]
+        grams = np.matmul(rows.transpose(0, 2, 1), rows)
+        best = min(best, float(np.linalg.eigvalsh(grams)[:, 0].min()))
+    return _sigma_from_eig(best)
+
+
+def subset_sigma_min(a: np.ndarray, alpha: float,
+                     subset_budget: int = DEFAULT_SUBSET_BUDGET) -> float:
+    """Exact minimum of sigma_min(A_S) over all row subsets of size round(alpha*m).
+
+    Returns 0 immediately when the subset size is below n. Raises
+    BudgetExceededError when the number of subsets exceeds ``subset_budget``;
+    use ``subset_sigma_min_sampled`` in that case. Memory stays at about
+    4 MiB plus c n^2 doubles per chunk of c subsets, whatever m is.
+    """
+    a = as_matrix(a)
+    m, n = a.shape
+    s = _subset_size(m, alpha)
+    if s < n:
+        return 0.0
+    total = math.comb(m, s)
+    if total > subset_budget:
+        raise BudgetExceededError(total, subset_budget)
+    return _subset_sigma_min(a, s, combinations(range(m), s))
+
+
+def subset_sigma_min_sampled(a: np.ndarray, alpha: float, trials: int, seed: int = 0) -> float:
+    """Minimum of sigma_min(A_S) over ``trials`` uniformly sampled subsets.
+
+    An upper bound on the exact subset minimum (fewer candidates). Trial t
+    evaluates the t-th ``rng.choice(m, size=s, replace=False)`` of
+    PCG64(seed). Memory is bounded as in ``subset_sigma_min``.
+    """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    a = as_matrix(a)
+    m, n = a.shape
+    s = _subset_size(m, alpha)
+    if s < n:
+        return 0.0
+    rng = np.random.Generator(np.random.PCG64(seed))
+    return _subset_sigma_min(a, s, (rng.choice(m, size=s, replace=False) for _ in range(trials)))

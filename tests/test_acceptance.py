@@ -11,6 +11,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from paper_bounds import rqrk_bound, subset_sigma_min
 from qk_helpers import require_matrix, step_from
 from quantile_kaczmarz import (
     DQRK,
@@ -24,9 +25,7 @@ from quantile_kaczmarz import (
     diagnostic_report,
     emit_artifacts,
     robustness_diagnostic,
-    rqrk_bound,
     run_experiment,
-    subset_sigma_min,
     time_to_threshold,
 )
 from quantile_kaczmarz.problems import (

@@ -3,19 +3,21 @@ import math
 import numpy as np
 import pytest
 
+from paper_bounds import (
+    dqrk_bound,
+    kth_largest_residual_factor,
+    qrk_bound,
+    rk_factor,
+    rqrk_bound,
+    subset_sigma_min,
+)
 from quantile_kaczmarz import (
     HypothesisViolationError,
     InvalidQuantilesError,
     corruption_penalty,
-    dqrk_bound,
     extreme_singular_values,
-    kth_largest_residual_factor,
     leave_one_out_sigma_min,
-    qrk_bound,
-    rk_factor,
     robustness_diagnostic,
-    rqrk_bound,
-    subset_sigma_min,
 )
 from quantile_kaczmarz.problems import GeneratedSource, ProblemSpec, generate_system
 
@@ -153,7 +155,7 @@ class TestDqrkBound:
 
 
 def subset_sigma_min_or_sample(a, alpha):
-    from quantile_kaczmarz import BudgetExceededError, subset_sigma_min_sampled
+    from paper_bounds import BudgetExceededError, subset_sigma_min_sampled
     try:
         return subset_sigma_min(a, alpha)
     except BudgetExceededError:

@@ -14,7 +14,6 @@ def test_all_holds_no_module():
 def test_public_api_is_pinned():
     # a name enters or leaves the public API only through an edit here
     assert sorted(quantile_kaczmarz.__all__) == [
-        "BoundReport", "BudgetExceededError",
         "CorruptionSpec", "DQRK", "DenseSystem", "DiagnosticRow",
         "DimensionMismatchError", "ExperimentResult", "ExperimentSpec",
         "FileSource", "GeneratedSource", "GroundTruth",
@@ -25,11 +24,9 @@ def test_public_api_is_pinned():
         "ThresholdResult", "TraceRecord", "UnsupportedFieldError",
         "ZeroRowError", "corrupt", "corruption_penalty",
         "cost_parity_benchmark", "derive_seed", "diagnostic_report",
-        "dqrk_bound", "emit_artifacts", "extreme_singular_values",
-        "generate_system", "kth_largest_residual_factor",
+        "emit_artifacts", "extreme_singular_values", "generate_system",
         "leave_one_out_sigma_min", "load_matrix_market", "normalize_rows",
-        "parse_selector", "qrk_bound", "rk_factor", "robustness_diagnostic",
-        "rqrk_bound", "run_experiment", "save_matrix_market", "solve",
-        "spec_from_dict", "spec_to_dict", "subset_sigma_min",
-        "subset_sigma_min_sampled", "time_to_threshold",
+        "parse_selector", "robustness_diagnostic", "run_experiment",
+        "save_matrix_market", "solve", "spec_from_dict", "spec_to_dict",
+        "time_to_threshold",
     ]

@@ -82,7 +82,8 @@ class TestGenerateSystem:
         spec = ProblemSpec(source=GeneratedSource("gaussian", 1000, 200, seed=15),
                            corruption=CorruptionSpec(beta=0.05, seed=16))
         # a first call imports numpy submodules; keep that out of the peak
-        generate_system(dataclasses.replace(spec, source=GeneratedSource("gaussian", 20, 4)))
+        warm_up = GeneratedSource("gaussian", 20, 4, seed=1)
+        generate_system(dataclasses.replace(spec, source=warm_up))
         tracemalloc.start()
         try:
             system = generate_system(spec)
@@ -96,6 +97,14 @@ class TestGenerateSystem:
             source=GeneratedSource("gaussian", 50, 5, seed=10), normalize=False))
         norms = np.linalg.norm(system.A, axis=1)
         assert not np.allclose(norms, 1.0, atol=1e-3)
+
+    def test_equal_seeds_rejected(self):
+        # both seeds default to 0, and then x* was the first raw row of A
+        with pytest.raises(ValueError, match=r"seed \(0\) equals solution_seed \(0\)"):
+            generate_system(ProblemSpec(GeneratedSource("gaussian", 500, 50)))
+        with pytest.raises(ValueError, match=r"seed \(7\) equals solution_seed \(7\)"):
+            generate_system(ProblemSpec(GeneratedSource("uniform", 30, 3, seed=7),
+                                        solution_seed=7))
 
     def test_requires_overdetermined(self):
         with pytest.raises(ValueError):

@@ -28,13 +28,13 @@ from quantile_kaczmarz import (
     generate_system,
     parse_selector,
     solve,
-    subset_sigma_min,
 )
 from quantile_kaczmarz.linalg import row_norms
 from quantile_kaczmarz.problems import CorruptionSpec, GeneratedSource, ProblemSpec
 from quantile_kaczmarz.quantiles import band_ranks, partition_two_sided, quantile_rank
 from quantile_kaczmarz.solver import SELECTORS, TraceRecord, select_row, weighted_sample
 
+from paper_bounds import subset_sigma_min
 from qk_helpers import step_from
 
 
@@ -756,7 +756,7 @@ class TestContractionAgainstTheory:
 
     def test_final_error_beats_k_step_envelope(self):
         # reverse-quantile runs land far below the guaranteed k-step envelope
-        from quantile_kaczmarz import rqrk_bound, subset_sigma_min_sampled
+        from paper_bounds import rqrk_bound, subset_sigma_min_sampled
 
         m, n, q, k_steps = 500, 50, 0.9, 2000
         system = consistent_system(m, n, seed=54)

@@ -8,13 +8,8 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quantile_kaczmarz import (
-    BudgetExceededError,
-    leave_one_out_sigma_min,
-    subset_sigma_min,
-    subset_sigma_min_sampled,
-)
-from quantile_kaczmarz import spectral
+from paper_bounds import BudgetExceededError, subset_sigma_min, subset_sigma_min_sampled
+from quantile_kaczmarz import leave_one_out_sigma_min, spectral
 from quantile_kaczmarz.spectral import leave_one_out_spectrum
 
 
