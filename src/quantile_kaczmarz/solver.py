@@ -303,6 +303,12 @@ class StopRule:
     target_sq_error: float | None = None
     residual_norm: float | None = None
 
+    def __post_init__(self):
+        for name in ("target_sq_error", "residual_norm"):
+            value = getattr(self, name)
+            if value is not None and not value >= 0:  # NaN fails too
+                raise ValueError(f"{name} must be >= 0, got {value}")
+
 
 @dataclass(frozen=True)
 class SolverConfig:

@@ -18,14 +18,16 @@ Leave-one-out takes one eigendecomposition A^T A = Q diag(lam) Q^T and one
 product Z = A Q, then finds every row's downdated smallest eigenvalue as the
 smallest root of the secular equation 1 - sum_j Z_ij^2 / (lam_j - t) = 0,
 for all rows at once: O(m n^2) time and O(m n) memory, against O(m n^3) for
-one eigensolve per row. A column with at most one nonzero (a lonely column)
-makes the value exactly 0.0 by structure, since deleting its row leaves a
-zero column; one O(m n) count of nonzeros per column finds it before any
-eigensolve. (The eigensolve of such a downdate reads about 1e-16, not 0, so
-its square root would be about 1e-8.) Other rows whose leverage
-sum_j Z_ij^2 / lam_j is within max(1e-8, n eps cond(A^T A)) of 1, whose
-deletion drops the rank, and all rows of a rank-deficient A still get their
-own eigensolve, so those cases keep returning exactly what the per-row method
+one eigensolve per row. The value is exactly 0.0 by structure, with no
+downdate eigensolved, when A has fewer than n + 1 rows, when a column has at
+most one nonzero (a lonely column: deleting its row leaves a zero column;
+one O(m n) count of nonzeros per column finds it), or when A is numerically
+rank-deficient, lam[0] <= n eps lam[-1], so that every downdate is too.
+(The eigensolve of such a downdate reads about 1e-16, not 0, so its square
+root would be about 1e-8, below the sqrt(n eps) sigma_max above.) Rows of a
+full-rank A whose leverage sum_j Z_ij^2 / lam_j is within
+max(1e-8, n eps cond(A^T A)) of 1, whose deletion drops the rank, still get
+their own eigensolve, so they keep returning exactly what the per-row method
 returns. Elsewhere both methods carry the Gram eigenvalue error of about
 n eps sigma_max^2, so their values agree to 1e-9 relative above about
 1e-3 sigma_max and to about n eps sigma_max^2 / sigma below that.
@@ -70,9 +72,9 @@ def leave_one_out_sigma_min(a: np.ndarray) -> float:
     ``1 - sum_j Z_ij^2 / (lam_j - t) = 0`` (Golub 1973; Bunch, Nielsen and
     Sorensen 1978); all m roots are solved together. Rows of leverage
     ``h_i = sum_j Z_ij^2 / lam_j`` close to 1, whose deletion drops the
-    rank, and every row of a rank-deficient A are downdated and eigensolved
-    one by one instead. A column with at most one nonzero gives exactly 0.0
-    with no eigensolve of a downdate: deleting its row leaves a zero column.
+    rank, are downdated and eigensolved one by one instead. Fewer than
+    n + 1 rows, a column with at most one nonzero, or a numerically
+    rank-deficient A gives exactly 0.0 with no eigensolve of a downdate.
     """
     return leave_one_out_spectrum(as_matrix(a))[0]
 
@@ -84,7 +86,9 @@ def leave_one_out_spectrum(a: np.ndarray) -> tuple[float, float]:
     its absolute error of about n eps sigma_max^2 before the square root.
     When the leave-one-out value is 0 by structure (fewer than n + 1 rows,
     or a column with at most one nonzero), only the eigenvalues of the
-    smaller of A^T A and A A^T are computed.
+    smaller of A^T A and A A^T are computed. A numerically rank-deficient A
+    is the third structural zero; it shows only in the Gram eigenvalues, so
+    it returns right after them.
     """
     m, n = a.shape
     if m < 2:
@@ -97,7 +101,7 @@ def leave_one_out_spectrum(a: np.ndarray) -> tuple[float, float]:
     sigma_max = _sigma_from_eig(lam[-1])
     eps = np.finfo(np.float64).eps
     if lam[0] <= n * eps * lam[-1]:
-        return _sigma_from_eig(min(_downdated_min_eigs(gram, a, range(m)))), sigma_max
+        return 0.0, sigma_max
     w = a @ q
     w *= w  # w_ij = Z_ij^2
     leverage = w @ (1.0 / lam)

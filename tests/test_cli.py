@@ -75,6 +75,17 @@ class TestSolve:
         assert "error: ValueError: beta must be in [0, 1), got -0.5" in capsys.readouterr().err
         assert not (tmp_path / "summary.json").exists()
 
+    def test_negative_threshold_exits_2_before_any_solve(self, tmp_path, capsys, monkeypatch):
+        solves = []
+        monkeypatch.setattr(harness, "solve", lambda *args, **kw: solves.append(args))
+        code = run_cli("solve", "--m", "40", "--n", "5", "--method", "rqrk", "--q", "0.8",
+                       "--iters", "5", "--threshold", "-1", "--out", str(tmp_path))
+        assert code == 2
+        assert ("error: ValueError: target_sq_error must be >= 0, got -1.0"
+                in capsys.readouterr().err)
+        assert solves == []
+        assert not (tmp_path / "summary.json").exists()
+
     def test_matrix_file_input(self, tmp_path):
         rng = np.random.default_rng(1)
         path = tmp_path / "a.mtx"
@@ -274,6 +285,8 @@ class TestExperiment:
         (lambda s: s.update(outputs=["summary"]), "unknown key 'outputs' in spec"),
         (lambda s: s.update(record_every=None),
          "'record_every' must be an integer, got None in spec"),
+        (lambda s: s["runs"][0].update(stop={"residual_norm": -1}),
+         "residual_norm must be >= 0, got -1.0"),
     ], ids=["normalize-string", "fresh-int", "trials-fraction", "seed-bool", "m-fraction",
             "negative-iters-after-valid-run", "q-string", "beta-string", "label-int",
             "method-int", "stop-string", "q0-bool", "x0-null", "path-int", "unknown-kind",
@@ -283,7 +296,8 @@ class TestExperiment:
             "corruption-typo", "run-typo", "stop-typo", "rk-with-q", "qrk-with-q0",
             "no-problem", "no-source", "no-dist", "no-m", "no-n", "no-path", "no-beta",
             "no-runs", "no-label", "no-method", "no-iters", "qrk-no-q", "dqrk-no-q0",
-            "reserved-label", "unknown-method", "workers", "outputs", "record-every-null"])
+            "reserved-label", "unknown-method", "workers", "outputs", "record-every-null",
+            "stop-negative"])
     def test_bad_spec_value_exits_2_before_any_solve(self, tmp_path, capsys, monkeypatch,
                                                      edit, message):
         solves = []
@@ -418,6 +432,22 @@ class TestBenchAndThreshold:
         assert "error: ValueError: trials must be >= 1" in capsys.readouterr().err
         assert solves == []
         assert not (tmp_path / "bench.csv").exists()
+
+    def test_nan_threshold_exits_2_before_any_solve(self, tmp_path, capsys, monkeypatch):
+        solves = []
+        monkeypatch.setattr(harness, "solve", lambda *args, **kw: solves.append(args))
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({
+            "seed": 3,
+            "problem": {"source": {"kind": "generated", "dist": "gaussian", "m": 40, "n": 5}},
+            "runs": [{"label": "qrk", "method": "qrk", "q": 0.8, "iters": 50}],
+        }))
+        code = run_cli("threshold", str(spec_path), "--threshold", "nan",
+                       "--out", str(tmp_path / "out"))
+        assert code == 2
+        assert "error: ValueError: target_sq_error must be >= 0, got nan" in capsys.readouterr().err
+        assert solves == []
+        assert not (tmp_path / "out").exists()
 
     def test_threshold(self, tmp_path, capsys):
         spec = {

@@ -90,7 +90,8 @@ def _specs():
     band = st.tuples(fractions, fractions).filter(lambda t: t[0] != t[1]).map(sorted)
     selector = st.one_of(st.just(RK()), st.just(Motzkin()), fractions.map(QRK),
                          fractions.map(RQRK), band.map(lambda t: DQRK(*t)))
-    stop = st.one_of(st.none(), st.builds(StopRule, st.none() | reals, st.none() | reals))
+    thresholds = st.none() | st.floats(0.0, 1e6)
+    stop = st.one_of(st.none(), st.builds(StopRule, thresholds, thresholds))
     x0 = st.one_of(st.just(Origin()), st.builds(OnHyperplane, st.none() | st.integers(0, 10**6)))
     run = st.builds(RunSpec, st.text(), selector, st.integers(0, 10**6), stop, x0)
     runs = st.lists(run, min_size=1, max_size=6, unique_by=lambda r: r.label)

@@ -725,6 +725,18 @@ class TestStopRuleEdges:
         assert (trace.iterations, trace.termination) == (last, stop_kind)
         assert trace.records == free.records[:last + 1]
 
+    @pytest.mark.parametrize("stop_kind", ["target_sq_error", "residual_norm"])
+    @pytest.mark.parametrize("value", [-1.0, -1e-300, -math.inf, math.nan])
+    def test_negative_or_nan_threshold_is_rejected(self, stop_kind, value):
+        # sq_err <= value never holds for these, so the rule could never fire
+        with pytest.raises(ValueError, match=f"{stop_kind} must be >= 0, got {value}"):
+            StopRule(**{stop_kind: value})
+
+    @pytest.mark.parametrize("stop_kind", ["target_sq_error", "residual_norm"])
+    @pytest.mark.parametrize("value", [0.0, -0.0, math.inf])
+    def test_zero_and_infinity_are_thresholds(self, stop_kind, value):
+        assert getattr(StopRule(**{stop_kind: value}), stop_kind) == value
+
 
 class TestContractionAgainstTheory:
     def test_monte_carlo_one_step_contraction(self):

@@ -42,8 +42,9 @@ def per_row_eigh_leave_one_out(a):
 def reference_leave_one_out(a):
     """Reference sigma_loo: the Gram eigendecomposition path with no
     lonely-column shortcut and no sigma_max, through the module's downdate
-    and secular-root helpers. Where every column has at least two nonzeros,
-    ``leave_one_out_spectrum`` must return its bits."""
+    and secular-root helpers; a numerically rank-deficient A is 0.0. Where
+    every column has at least two nonzeros, ``leave_one_out_spectrum`` must
+    return its bits."""
     m, n = a.shape
     if m - 1 < n:
         return 0.0
@@ -51,7 +52,7 @@ def reference_leave_one_out(a):
     lam, q = np.linalg.eigh(gram)
     eps = np.finfo(np.float64).eps
     if lam[0] <= n * eps * lam[-1]:
-        return spectral._sigma_from_eig(min(spectral._downdated_min_eigs(gram, a, range(m))))
+        return 0.0
     w = a @ q
     w *= w
     leverage = w @ (1.0 / lam)
@@ -270,6 +271,25 @@ class TestLeaveOneOut:
         monkeypatch.setattr(spectral, "_smallest_secular_roots", downdate)
         a, _ = gaussian_lonely(60, 20, np.random.default_rng(47), 1.0)
         assert leave_one_out_spectrum(a)[0] == 0.0
+
+    def test_rank_deficient_downdates_nothing(self, monkeypatch):
+        def downdate(*args):
+            raise AssertionError("a rank-deficient matrix needs no downdate")
+
+        monkeypatch.setattr(spectral, "_downdated_min_eigs", downdate)
+        monkeypatch.setattr(spectral, "_smallest_secular_roots", downdate)
+        rng = np.random.default_rng(48)
+        a = rng.normal(size=(60, 5)) @ rng.normal(size=(5, 20))
+        lam = np.linalg.eigh(a.T @ a)[0]
+        assert leave_one_out_spectrum(a) == (0.0, math.sqrt(lam[-1]))
+
+    def test_exactly_singular_gram_gives_exact_zero(self):
+        # column 2 is the sum of the others, so A^T A is singular in integers;
+        # a per-row eigensolve of its downdates can read about 5e-16, 2e-8 after the root
+        a = np.array([[-1.0, 2.0], [-1.0, 2.0], [1.0, -3.0], [0.0, -1.0], [0.0, 1.0],
+                      [0.0, 1.0]])
+        a = np.column_stack([a, a.sum(axis=1)])
+        assert leave_one_out_sigma_min(a) == 0.0
 
     @settings(max_examples=100, deadline=None)
     @given(n=st.integers(1, 60), extra=st.integers(-10, 20),
