@@ -19,8 +19,10 @@ from __future__ import annotations
 import csv
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
+import os
 import platform
 import statistics
 import time
@@ -137,39 +139,128 @@ def problem_for_trial(spec: ExperimentSpec, trial: int) -> ProblemSpec:
 
 @dataclass(frozen=True)
 class ExperimentResult:
+    """Every (label, trial) solve's trace or failure, and its wall-clock
+    ``seconds``: the time of the solve alone, measured by the process that ran
+    it, so a worker's own wall time under fan-out."""
+
     spec: ExperimentSpec
     traces: dict[tuple[str, int], SolveTrace]
     failures: dict[tuple[str, int], str]
     seconds: dict[tuple[str, int], float]
 
 
-def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
-    """Solve every (run, trial) pair, one at a time; per-run failures do not
-    abort the rest. ``seconds`` holds each solve's wall-clock time.
+# A group of solves fans out only if its work, m * n * (the sum of its solves'
+# max_iters), exceeds this floor. On a 2-vCPU Xeon the pool costs C = 25 ms:
+# 11 ms to import multiprocessing and concurrent.futures, 14 ms to start and
+# stop two workers. Two workers that give f times one process's throughput
+# break even at C f / (f - 1) of work in-process: 56 ms for the 1.8x that
+# Python-bound work reached there, which is 10**8 at the 0.55 ns per entry of
+# a 1000 x 100 quantile step. Matvec-bound 1000 x 100 groups reached only
+# about 1.1x, so just above the floor they may lose up to C; 2500 x 250
+# groups won from the floor up, and 200 x 20 ones from a quarter of it.
+_FAN_OUT_FLOOR = 10**8
 
-    Trial t's system is built right before its runs and released before
-    trial t+1's is built, so one system, and so one m x n matrix, is alive
-    at a time. With ``fresh_problem_per_trial=False`` every trial solves
-    the one system built before the first.
+
+def _solve_one(system, spec: ExperimentSpec, run: RunSpec, trial: int):
+    """(trace or None, failure or None, seconds) of one (run, trial) solve."""
+    config = SolverConfig(selector=run.selector, max_iters=run.max_iters,
+                          seed=derive_seed(spec.seed, run.label, trial),
+                          x0=run.x0, stop=run.stop)
+    trace = failure = None
+    start = time.perf_counter()
+    try:
+        trace = solve(system, config, record_every=spec.record_every)
+    except QuantileKaczmarzError as exc:
+        failure = f"{type(exc).__name__}: {exc}"
+    return trace, failure, time.perf_counter() - start
+
+
+def _pool_size(system, jobs, max_workers: int | None) -> int:
+    """Worker processes for one group of solves; 1 runs them in-process.
+
+    The pool needs ``fork``, at least two allowed CPUs and work above
+    ``_FAN_OUT_FLOOR``; then it has one worker per allowed CPU, at most one
+    per solve and at most ``max_workers``.
     """
-    # every trial has the same problem seeds; solve never writes to A or b
-    shared = None if spec.fresh_problem_per_trial else generate_system(problem_for_trial(spec, 0))
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    m, n = system.shape
+    if m * n * sum(run.max_iters for run, _ in jobs) <= _FAN_OUT_FLOOR:
+        return 1
+    return min(len(os.sched_getaffinity(0)), len(jobs), max_workers or len(jobs))
+
+
+_ADOPTED = None  # a worker's (system, spec), inherited through fork
+
+
+def _adopt(system, spec) -> None:
+    global _ADOPTED
+    _ADOPTED = system, spec
+
+
+def _solve_adopted(run: RunSpec, trial: int):
+    return _solve_one(*_ADOPTED, run, trial)
+
+
+def _fan_out(system, spec: ExperimentSpec, jobs, workers: int) -> dict:
+    """``_solve_one`` of every (run, trial) job, by (label, trial), solved in
+    ``workers`` processes forked from this one, so that they share A
+    copy-on-write. The runs with the largest caps are sent first. Every
+    worker has exited when this returns or raises; a worker that dies
+    raises ``BrokenProcessPool``."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                               initializer=_adopt, initargs=(system, spec))
+    try:
+        futures = {(run.label, trial): pool.submit(_solve_adopted, run, trial)
+                   for run, trial in sorted(jobs, key=lambda job: -job[0].max_iters)}
+        return {key: future.result() for key, future in futures.items()}
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
+def run_experiment(spec: ExperimentSpec, *,
+                   _max_workers: int | None = None) -> ExperimentResult:
+    """Solve every (run, trial) pair; per-run failures do not abort the rest.
+    ``seconds`` holds each solve's wall-clock time.
+
+    The solves that share a system form a group: one trial's runs, or, with
+    ``fresh_problem_per_trial=False``, every solve, on the system built
+    before the first trial. A group's system is built right before its
+    solves and released before the next group's is built, so one system,
+    and so one m x n matrix, is alive at a time.
+
+    A group whose work is above ``_FAN_OUT_FLOOR`` fans out over worker
+    processes forked after its system is built (``_pool_size``); any other
+    runs in-process, trial by trial and run by run. The result is the same,
+    bit for bit, either way. ``time_to_threshold`` and
+    ``cost_parity_benchmark`` pass ``_max_workers=1``: they report
+    per-solve seconds, which a second solve on the other CPU would disturb.
+    """
+    groups = ([(trial,) for trial in range(spec.trials)] if spec.fresh_problem_per_trial
+              else [range(spec.trials)])
+    outcomes = {}
+    for trials in groups:
+        system = generate_system(problem_for_trial(spec, trials[0]))
+        jobs = [(run, trial) for trial in trials for run in spec.runs]
+        workers = _pool_size(system, jobs, _max_workers)
+        if workers > 1:
+            outcomes.update(_fan_out(system, spec, jobs, workers))
+        else:
+            for run, trial in jobs:
+                outcomes[(run.label, trial)] = _solve_one(system, spec, run, trial)
+        del system  # before the next group's system is built
     traces, failures, seconds = {}, {}, {}
     for trial in range(spec.trials):
-        system = (shared if shared is not None
-                  else generate_system(problem_for_trial(spec, trial)))
         for run in spec.runs:
             key = (run.label, trial)
-            config = SolverConfig(selector=run.selector, max_iters=run.max_iters,
-                                  seed=derive_seed(spec.seed, run.label, trial),
-                                  x0=run.x0, stop=run.stop)
-            start = time.perf_counter()
-            try:
-                traces[key] = solve(system, config, record_every=spec.record_every)
-            except QuantileKaczmarzError as exc:
-                failures[key] = f"{type(exc).__name__}: {exc}"
-            seconds[key] = time.perf_counter() - start
-        del system  # before the next trial's system is built
+            trace, failure, seconds[key] = outcomes.pop(key)
+            if failure is None:
+                traces[key] = trace
+            else:
+                failures[key] = failure
     return ExperimentResult(spec=spec, traces=traces, failures=failures, seconds=seconds)
 
 
@@ -237,7 +328,7 @@ def time_to_threshold(spec: ExperimentSpec, threshold: float) -> list[ThresholdR
     stop = StopRule(target_sq_error=threshold)
     result = run_experiment(dataclasses.replace(
         spec, record_every=None,
-        runs=tuple(dataclasses.replace(run, stop=stop) for run in spec.runs)))
+        runs=tuple(dataclasses.replace(run, stop=stop) for run in spec.runs)), _max_workers=1)
     results = []
     for run in spec.runs:
         keys = [(run.label, trial) for trial in range(spec.trials)]
@@ -294,7 +385,7 @@ def cost_parity_benchmark(
         raise ValueError("iters must be >= 1")
     result = run_experiment(dataclasses.replace(
         spec, trials=spec.trials + 1, fresh_problem_per_trial=False, record_every=None,
-        runs=tuple(dataclasses.replace(run, stop=None) for run in spec.runs)))
+        runs=tuple(dataclasses.replace(run, stop=None) for run in spec.runs)), _max_workers=1)
     failed = {label for label, _ in result.failures}
     rows = []
     for run in spec.runs:
@@ -607,13 +698,17 @@ def emit_artifacts(result: ExperimentResult, outdir) -> dict[str, Path]:
     their paths under the keys "trajectory" and "summary".
 
     The trajectory has one row per trace record, sorted by (label, trial,
-    iteration); the records stream into the file as they are."""
+    iteration); each trace's columns stream into the file as they are."""
     paths = {"trajectory": Path(outdir) / "trajectory.csv",
              "summary": Path(outdir) / "summary.json"}
-    write_csv(paths["trajectory"], TRAJECTORY_COLUMNS, (
-        (label, trial, rec.iteration, rec.sq_error, rec.residual_norm,
-         rec.row, rec.q0_value, rec.q1_value)
-        for label, trial in sorted(result.traces)
-        for rec in result.traces[(label, trial)].records))
+    write_csv(paths["trajectory"], TRAJECTORY_COLUMNS, itertools.chain.from_iterable(
+        _trajectory_rows(label, trial, result.traces[(label, trial)])
+        for label, trial in sorted(result.traces)))
     write_json(paths["summary"], summary_dict(result))
     return paths
+
+
+def _trajectory_rows(label: str, trial: int, trace: SolveTrace):
+    iteration, row, q0, q1, sq_error, residual_norm = trace.columns()
+    return zip(itertools.repeat(label), itertools.repeat(trial), iteration, sq_error,
+               residual_norm, row, q0, q1)

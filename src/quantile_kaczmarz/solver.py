@@ -22,6 +22,8 @@ config) pair replays bit-identically.
 from __future__ import annotations
 
 import math
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -342,10 +344,60 @@ class TraceRecord:
 
 @dataclass(frozen=True)
 class SolveTrace:
-    records: tuple[TraceRecord, ...]
+    """A solve's final iterate, iteration count and termination, and its
+    records kept as six columns named after ``TraceRecord``'s fields:
+    ``array('q')`` for ``iteration`` and ``row``, ``array('d')`` for the
+    other four, 48 bytes a record. A None is stored as -1 for a row and as
+    NaN for a float; every row the engine records is >= 0 and every float
+    finite. ``records`` reads the columns as ``TraceRecord``s.
+    """
+
     final_x: np.ndarray
     iterations: int
     termination: str
+    iteration: array
+    row: array
+    q0_value: array
+    q1_value: array
+    sq_error: array
+    residual_norm: array
+
+    @property
+    def records(self) -> TraceRecords:
+        return TraceRecords(self)
+
+    def columns(self) -> list[list]:
+        """The six columns as lists in ``TraceRecord``'s field order, with None
+        where a column holds -1 or NaN."""
+        iteration, row, *floats = (getattr(self, f.name).tolist() for f in fields(TraceRecord))
+        return [iteration, [None if r < 0 else r for r in row],
+                *([None if v != v else v for v in column] for column in floats)]
+
+
+class TraceRecords(Sequence):
+    """A read-only view of a ``SolveTrace``'s columns: indexing builds a
+    ``TraceRecord``, slicing a tuple of them. It equals a tuple or a view
+    holding the same records."""
+
+    __slots__ = ("_columns",)
+
+    def __init__(self, trace: SolveTrace):
+        self._columns = [getattr(trace, f.name) for f in fields(TraceRecord)]
+
+    def __len__(self) -> int:
+        return len(self._columns[0])
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self[j] for j in range(*index.indices(len(self))))
+        iteration, row, *floats = (column[index] for column in self._columns)
+        return TraceRecord(iteration, None if row < 0 else row,
+                           *(None if v != v else v for v in floats))
+
+    def __eq__(self, other):
+        if isinstance(other, (tuple, TraceRecords)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
 
 
 def solve(
@@ -416,7 +468,8 @@ def solve(
         # np.linalg.norm of a 1-D float vector is sqrt(v.dot(v)), bit for bit
         return math.sqrt(v.dot(v))
 
-    records: list[TraceRecord] = []
+    iteration, row, q0_value, q1_value = array("q"), array("q"), array("d"), array("d")
+    sq_error, residual_norm = array("d"), array("d")
     i = low = high = None
     k = 0
     while True:
@@ -438,7 +491,12 @@ def solve(
                 r, nres = system.residual(x)
             if sq_err is None and gt is not None:
                 sq_err = system.sq_error(x)
-            records.append(TraceRecord(k, i, low, high, sq_err, norm(nres)))
+            iteration.append(k)
+            row.append(-1 if i is None else i)
+            q0_value.append(math.nan if low is None else low)
+            q1_value.append(math.nan if high is None else high)
+            sq_error.append(math.nan if sq_err is None else sq_err)
+            residual_norm.append(norm(nres))
         if termination is not None:
             break
 
@@ -448,9 +506,6 @@ def solve(
         i, low, high = select_row(kind, ranks, nres, sq_norms, cum_sq_norms, rng)
         x = system.project(x, i, None if rk else r[i])
 
-    return SolveTrace(
-        records=tuple(records),
-        final_x=x,
-        iterations=k,
-        termination=termination,
-    )
+    return SolveTrace(final_x=x, iterations=k, termination=termination,
+                      iteration=iteration, row=row, q0_value=q0_value, q1_value=q1_value,
+                      sq_error=sq_error, residual_norm=residual_norm)

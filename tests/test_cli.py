@@ -617,56 +617,82 @@ class TestEntryPoint:
 
 
 # Runs each subcommand in turn in one fresh interpreter and prints, per
-# subcommand, its exit code and whether scipy.linalg and numpy.ma were loaded
-# after it.
+# subcommand, its exit code, whether scipy.linalg, numpy.ma, multiprocessing
+# and concurrent.futures were loaded after it, and how many rows had a
+# leave-one-out eigensolve of their own so far.
 _IMPORT_PROBE = """
 import json, sys
+from quantile_kaczmarz import spectral
 from quantile_kaczmarz.cli import main
+downdated = []
+downdate = spectral._downdated_min_eigs
+def spy(gram, a, rows):
+    downdated.extend(rows)
+    return downdate(gram, a, rows)
+spectral._downdated_min_eigs = spy
 tmp, commands = sys.argv[1], json.loads(sys.argv[2])
 seen = {}
 for name, argv in commands:
     code = main(argv + ["--out", f"{tmp}/{name}"])
-    seen[name] = [code, "scipy.linalg" in sys.modules, "numpy.ma" in sys.modules]
+    seen[name] = [code] + [module in sys.modules for module in (
+        "scipy.linalg", "numpy.ma", "multiprocessing", "concurrent.futures")] + [len(downdated)]
 print(json.dumps(seen))
 """
 
 
 def test_no_subcommand_loads_scipy_linalg(tmp_path):
     # the test process cannot answer this: test_spectral.py imports scipy.linalg
-    spec = tmp_path / "spec.json"
-    spec.write_text(json.dumps({
-        "seed": 1, "trials": 1,
-        "problem": {"source": {"kind": "generated", "dist": "gaussian", "m": 30, "n": 4}},
-        "runs": [{"label": "dqrk", "method": "dqrk", "q0": 0.5, "q1": 0.9, "iters": 50}],
-    }))
+    # and test_harness.py imports concurrent.futures
+    def spec(name, m, n, iters):
+        path = tmp_path / name
+        path.write_text(json.dumps({
+            "seed": 1, "trials": 1,
+            "problem": {"source": {"kind": "generated", "dist": "gaussian", "m": m, "n": n}},
+            "runs": [{"label": "dqrk", "method": "dqrk", "q0": 0.5, "q1": 0.9, "iters": iters},
+                     {"label": "rk", "method": "rk", "iters": iters}],
+        }))
+        return str(path)
+
+    small = spec("small.json", 30, 4, 50)  # far below harness._FAN_OUT_FLOOR
+    large = spec("large.json", 500, 50, 2500)  # 500 * 50 * 5000 is above it
     # the stacked identity takes the secular path; column 0 of "lonely" is
-    # touched by row 0 alone, a structural zero with no eigensolve; "rankdef"
-    # has rank 2 and three nonzeros in every column, so each of its rows'
-    # deletions is eigensolved on its own
-    stacked, lonely = tmp_path / "stacked.mtx", tmp_path / "lonely.mtx"
-    rankdef = tmp_path / "rankdef.mtx"
-    save_matrix_market(stacked, np.vstack([np.eye(3), np.eye(3)]))
-    save_matrix_market(lonely, np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0],
-                                         [0.0, 1.0, -1.0], [0.0, 1.0, 0.0]]))
-    save_matrix_market(rankdef, np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0],
-                                          [1.0, 2.0, 1.0], [1.0, 0.0, -1.0]]))
+    # touched by row 0 alone and "rankdef" has rank 2, structural zeros with
+    # no eigensolve; "leverage" has full rank and two nonzeros in every
+    # column, but deleting its last row drops the rank, so that row, and
+    # only that row, is eigensolved on its own
+    files = {"stacked": np.vstack([np.eye(3), np.eye(3)]),
+             "lonely": np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0],
+                                 [0.0, 1.0, -1.0], [0.0, 1.0, 0.0]]),
+             "rankdef": np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0],
+                                  [1.0, 2.0, 1.0], [1.0, 0.0, -1.0]]),
+             "leverage": np.array([[1.0, 1.0], [1.0, 1.0], [1.0, -1.0]])}
+    for name, a in files.items():
+        save_matrix_market(tmp_path / f"{name}.mtx", a)
     commands = [
-        ["threshold", ["threshold", str(spec), "--threshold", "1e-6"]],
-        ["experiment", ["experiment", str(spec)]],
+        ["threshold", ["threshold", small, "--threshold", "1e-6"]],
+        ["experiment", ["experiment", small]],
         ["solve", ["solve", "--m", "30", "--n", "4", "--method", "rk", "--iters", "20"]],
         ["bench", ["bench", "--m", "30", "--n", "4", "--iters", "20", "--repeats", "1"]],
-        ["diagnose", ["diagnose", str(stacked), str(lonely), str(rankdef),
+        ["diagnose", ["diagnose", *(str(tmp_path / f"{name}.mtx") for name in files),
                       "--format", "json"]],
+        ["threshold-large", ["threshold", large, "--threshold", "1e-6"]],
+        ["experiment-large", ["experiment", large]],
     ]
     proc = subprocess.run(
         [sys.executable, "-c", _IMPORT_PROBE, str(tmp_path), json.dumps(commands)],
         env=src_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    # a pool needs fork and two allowed CPUs
+    pooled = hasattr(os, "fork") and len(getattr(os, "sched_getaffinity", set)(0)) >= 2
     assert json.loads(proc.stdout.splitlines()[-1]) == {
-        "threshold": [0, False, False], "experiment": [0, False, False],
-        "solve": [0, False, False], "bench": [0, False, False],
-        "diagnose": [0, False, False]}
+        "threshold": [0, False, False, False, False, 0],
+        "experiment": [0, False, False, False, False, 0],
+        "solve": [0, False, False, False, False, 0],
+        "bench": [0, False, False, False, False, 0],
+        "diagnose": [0, False, False, False, False, 1],
+        "threshold-large": [0, False, False, False, False, 1],
+        "experiment-large": [0, False, False, pooled, pooled, 1]}
     table = json.loads((tmp_path / "diagnose" / "diagnostics.json").read_text())
     sigma_loo = {row["matrix"]: row["sigma_loo_min"] for row in table}
     assert sigma_loo == {"stacked": pytest.approx(1.0, rel=1e-12), "lonely": 0.0,
-                         "rankdef": pytest.approx(0.0, abs=1e-7)}
+                         "rankdef": 0.0, "leverage": pytest.approx(0.0, abs=1e-7)}

@@ -3,6 +3,7 @@ import math
 import re
 import struct
 import tracemalloc
+from array import array
 
 import numpy as np
 import pytest
@@ -114,8 +115,20 @@ def two_matvec_solve(system, config, record_every=1, record=True):
         if record and (k % record_every == 0 or k == config.max_iters
                        or termination is not None):
             records.append(TraceRecord(k, i, low, high, sq_err, residual_norm_at(x)))
-    return SolveTrace(records=tuple(records), final_x=x, iterations=iterations,
-                      termination=termination or "max_iters")
+    return trace_from_records(records, final_x=x, iterations=iterations,
+                              termination=termination or "max_iters")
+
+
+def trace_from_records(records, **fields):
+    """A ``SolveTrace`` holding ``records`` in its columns: -1 for a None row
+    and NaN for a None float."""
+    def column(name):
+        return [getattr(rec, name) for rec in records]
+
+    floats = {name: array("d", [math.nan if v is None else v for v in column(name)])
+              for name in ("q0_value", "q1_value", "sq_error", "residual_norm")}
+    return SolveTrace(**fields, iteration=array("q", column("iteration")),
+                      row=array("q", [-1 if r is None else r for r in column("row")]), **floats)
 
 
 def float_bits(value):
@@ -125,6 +138,12 @@ def float_bits(value):
 
 def record_bits(rec):
     return tuple(float_bits(getattr(rec, f.name)) for f in dataclasses.fields(rec))
+
+
+def column_bits(trace):
+    """A trace's six columns as stored, floats as their IEEE bit patterns."""
+    return [[float_bits(v) for v in getattr(trace, f.name)]
+            for f in dataclasses.fields(TraceRecord)]
 
 
 def trace_bits(trace):
@@ -571,6 +590,7 @@ class TestCarriedResidual:
         want = two_matvec_solve(system, config, record_every=record_every,
                                 record=record_every is not None)
         assert trace_bits(got) == trace_bits(want)
+        assert column_bits(got) == column_bits(want)
 
     @pytest.mark.parametrize("max_iters", [0, 20])
     def test_empty_band_raises_before_first_record(self, max_iters):
@@ -593,8 +613,9 @@ class TestCarriedResidual:
         assert last.row is not None
         assert last.residual_norm <= 1e-6
         assert record_bits(last) == record_bits(solve(system, config).records[-1])
-        assert trace_bits(trace) == trace_bits(
-            two_matvec_solve(system, config, record_every=5))
+        want = two_matvec_solve(system, config, record_every=5)
+        assert trace_bits(trace) == trace_bits(want)
+        assert column_bits(trace) == column_bits(want)
 
 
 class TestRecordDensity:
@@ -640,6 +661,23 @@ class TestRecordDensity:
             assert trace.records == ()
         for rec in trace.records:
             assert record_bits(rec) == record_bits(by_iteration[rec.iteration])
+        # dense records iteration k at index k
+        assert column_bits(trace) == [[column[k] for k in trace.iteration]
+                                      for column in column_bits(dense)]
+
+    def test_a_record_costs_at_most_64_bytes(self):
+        # six 8-byte columns, plus what an array over-allocates as it grows
+        system = consistent_system(100, 10, seed=5)
+        config = SolverConfig(QRK(0.8), 5000, seed=1)
+        solve(system, config)  # imports and caches stay out of the count
+        tracemalloc.start()
+        try:
+            trace = solve(system, config)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(trace.records) == 5001
+        assert held / len(trace.records) <= 64
 
 
 class TestSquaredErrorOnDemand:
